@@ -38,6 +38,7 @@ from .instance import (
     parse_instance,
 )
 from .flows import (
+    _g17,
     classify_flows,
     phase_sweep,
     r_star_estimate,
@@ -51,10 +52,6 @@ from .solver import (
     solve_with_restarts,
     stopping_rule,
 )
-
-
-def _g17(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _g9(x) -> str:
@@ -262,7 +259,11 @@ def cmd_oracle(args) -> int:
     machine = args.format == "json" and not args.output
     if not machine:
         _echo(f"instance: {args.instance} n={inst.n_vars} m={inst.n_clauses} r={_g9(inst.ratio)}")
-        _echo(f"oracle: cap={args.cap} enumerated={2 ** inst.n_vars}")
+        free = int((inst.clause_degree == 0).sum())
+        _echo(
+            f"oracle: cap={args.cap} propagation search over "
+            f"{inst.n_vars - free} clause-bearing variables, {free} free"
+        )
         if res.satisfiable:
             print("SAT")
             print("z: " + " ".join(str(int(b)) for b in res.witness))
@@ -486,7 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(s, "json")
     s.set_defaults(func=cmd_solve)
 
-    o = sub.add_parser("oracle", parents=[out_p], help="exact enumeration (small N)")
+    o = sub.add_parser(
+        "oracle", parents=[out_p], help="exact propagation search: decide and count models (small N)"
+    )
     o.add_argument("instance")
     o.add_argument("--cap", type=int, default=ORACLE_CAP, help="largest admissible N")
     add_format(o, "json")

@@ -1,5 +1,6 @@
 """EC3 (positive 1-in-3 SAT) instances: representation, file I/O, random
-generation, and an exact brute-force decision oracle for small N.
+generation, and an exact oracle (a counting propagation search) that decides
+satisfiability and counts models for small N.
 
 An instance is a set of M clauses over N boolean variables; each clause names
 three distinct 1-based variable indices and is satisfied by an assignment Z
@@ -22,25 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Hard ceiling for exhaustive enumeration: 2^26 assignments (~67M) is the
-# largest search the bit-parallel oracle finishes in seconds.
+# Default ceiling on N for the exact oracle. The propagation search decides
+# far larger instances, but counting models stays exponential in the worst
+# case, and a ceiling keeps `ec3 oracle` and oracle sweeps to small N.
 ORACLE_CAP = 26
-
-_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-# Truth pattern of variable v (v < 6) across the 64 assignments packed in one
-# word: bit s of pattern v equals bit v of the slot index s.
-_LOW_BIT_PATTERNS = np.array(
-    [
-        0xAAAAAAAAAAAAAAAA,
-        0xCCCCCCCCCCCCCCCC,
-        0xF0F0F0F0F0F0F0F0,
-        0xFF00FF00FF00FF00,
-        0xFFFF0000FFFF0000,
-        0xFFFFFFFF00000000,
-    ],
-    dtype=np.uint64,
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,58 +183,86 @@ class OracleResult:
 
 
 def brute_force_oracle(instance: Instance, cap: int = ORACLE_CAP) -> OracleResult:
-    """Exhaustively decide satisfiability for n_vars <= cap.
+    """Exactly decide satisfiability and count models for n_vars <= cap.
 
-    Assignments are enumerated 64 at a time: assignment index a (bit v of a
-    is z_{v+1}) maps to slot a%64 of word a//64, and each clause's
-    exactly-one condition is evaluated as a bitwise expression over variable
-    truth patterns. Returns the exact model count and the satisfying
-    assignment with the smallest index (all-zeros first), matching what a
-    sequential scan would report.
+    A counting propagation search (DPLL with the exactly-one rules): it
+    branches on the clause-bearing variables from z_N down to z_1, trying 0
+    before 1. A 1 forces the other two members of each of its clauses to 0,
+    two 0s force the third member to 1, and a clause with two 1s or three 0s
+    is a conflict. Propagation only prunes subtrees without solutions, so the
+    first leaf reached is the satisfying assignment with the smallest index
+    (bit v of the index is z_{v+1}; all-zeros first), the one a sequential
+    scan would report. The search visits every leaf, so the model count is
+    exact: variables in no clause are 0 in the witness and each doubles it.
     """
     n = instance.n_vars
     if n > cap:
         raise ValueError(f"n_vars={n} exceeds oracle cap {cap}")
-    if instance.n_clauses == 0:
-        witness = np.zeros(n, dtype=np.uint8)
-        return OracleResult(True, witness, 2**n)
+    clauses = (instance.clauses - 1).tolist()
+    occurs = [[] for _ in range(n)]
+    for c in clauses:
+        for v in c:
+            occurs[v].append(c)
+    order = [v for v in range(n - 1, -1, -1) if occurs[v]]
+    if not order:  # no clauses: every assignment is a model
+        return OracleResult(True, np.zeros(n, dtype=np.uint8), 1 << n)
+    value = [-1] * n  # -1 unassigned, else the bit
+    trail = []
 
-    cls0 = instance.clauses.astype(np.int64) - 1  # 0-based
-    n_words = 1 << max(0, n - 6)
-    chunk = min(n_words, 1 << 16)
+    def assign(var: int, bit: int) -> bool:
+        """Set var and propagate; False on a conflict (the trail keeps
+        whatever was set, for the caller to undo)."""
+        value[var] = bit
+        trail.append(var)
+        head = len(trail) - 1
+        while head < len(trail):
+            u = trail[head]
+            head += 1
+            for a, b, c in occurs[u]:
+                va, vb, vc = value[a], value[b], value[c]
+                ones = (va == 1) + (vb == 1) + (vc == 1)
+                if ones == 1:
+                    for w, vw in ((a, va), (b, vb), (c, vc)):
+                        if vw < 0:
+                            value[w] = 0
+                            trail.append(w)
+                elif ones:
+                    return False
+                else:
+                    zeros = (va == 0) + (vb == 0) + (vc == 0)
+                    if zeros == 3:
+                        return False
+                    if zeros == 2:
+                        w = a if va < 0 else b if vb < 0 else c
+                        value[w] = 1
+                        trail.append(w)
+        return True
+
     count = 0
-    first_index = None
+    witness = None
+    # pending branches (position in order, trail length to undo to, bit),
+    # popped depth-first with the 0-branch on top
+    stack = [(0, 0, 1), (0, 0, 0)]
+    while stack:
+        pos, mark, bit = stack.pop()
+        for var in trail[mark:]:
+            value[var] = -1
+        del trail[mark:]
+        if not assign(order[pos], bit):
+            continue
+        while pos < len(order) and value[order[pos]] >= 0:
+            pos += 1
+        if pos < len(order):
+            mark = len(trail)
+            stack += ((pos, mark, 1), (pos, mark, 0))
+            continue
+        count += 1
+        if witness is None:
+            witness = np.array([max(v, 0) for v in value], dtype=np.uint8)
 
-    def patterns(var: int, word_idx: np.ndarray) -> np.ndarray:
-        if var < 6:
-            return np.broadcast_to(_LOW_BIT_PATTERNS[var], word_idx.shape)
-        bit = (word_idx >> np.uint64(var - 6)) & np.uint64(1)
-        return np.where(bit.astype(bool), _WORD, np.uint64(0))
-
-    for base in range(0, n_words, chunk):
-        words = np.arange(base, min(base + chunk, n_words), dtype=np.uint64)
-        sat = np.full(words.shape, _WORD, dtype=np.uint64)
-        for k, m, j in cls0:
-            pk = patterns(int(k), words)
-            pm = patterns(int(m), words)
-            pj = patterns(int(j), words)
-            # exactly one of three bits set
-            one = (pk ^ pm ^ pj) & ~((pk & pm) | (pm & pj) | (pk & pj))
-            sat &= one
-        if n < 6:
-            sat &= np.uint64((1 << (1 << n)) - 1)  # only 2^n slots are real
-        count += int(np.bitwise_count(sat).sum())
-        if first_index is None:
-            nz = np.flatnonzero(sat)
-            if nz.size:
-                w = int(sat[nz[0]])
-                slot = (w & -w).bit_length() - 1
-                first_index = (base + int(nz[0])) * 64 + slot
-
-    if first_index is None:
+    if witness is None:
         return OracleResult(False, None, 0)
-    witness = np.array([(first_index >> v) & 1 for v in range(n)], dtype=np.uint8)
-    return OracleResult(True, witness, count)
+    return OracleResult(True, witness, count << (n - len(order)))
 
 
 def parse_assignment(text: str, n_vars: int) -> np.ndarray:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ec3 import (
     brute_force_oracle,
     check_assignment,
+    clause_count_for_ratio,
     emit_assignment,
     emit_instance,
     generate_instance,
@@ -31,6 +32,65 @@ def slow_oracle(n_vars, clauses):
             if witness is None:
                 witness = z
     return witness, count
+
+
+_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+# Truth pattern of variable v (v < 6) across the 64 assignments packed in one
+# word: bit s of pattern v equals bit v of the slot index s.
+_LOW_BIT_PATTERNS = np.array(
+    [
+        0xAAAAAAAAAAAAAAAA,
+        0xCCCCCCCCCCCCCCCC,
+        0xF0F0F0F0F0F0F0F0,
+        0xFF00FF00FF00FF00,
+        0xFFFF0000FFFF0000,
+        0xFFFFFFFF00000000,
+    ],
+    dtype=np.uint64,
+)
+
+
+def bitsliced_oracle(instance):
+    """Independent reference at sizes slow_oracle cannot reach: enumerate
+    all 2^N assignments 64 at a time. Assignment index a (bit v of a is
+    z_{v+1}) maps to slot a%64 of word a//64, and each clause's exactly-one
+    condition is a bitwise expression over variable truth patterns. Returns
+    the lowest-index satisfying assignment (or None) and the model count."""
+    n = instance.n_vars
+    cls0 = instance.clauses.astype(np.int64) - 1
+    n_words = 1 << max(0, n - 6)
+    chunk = min(n_words, 1 << 16)
+    count = 0
+    first_index = None
+
+    def patterns(var, word_idx):
+        if var < 6:
+            return np.broadcast_to(_LOW_BIT_PATTERNS[var], word_idx.shape)
+        bit = (word_idx >> np.uint64(var - 6)) & np.uint64(1)
+        return np.where(bit.astype(bool), _WORD, np.uint64(0))
+
+    for base in range(0, n_words, chunk):
+        words = np.arange(base, min(base + chunk, n_words), dtype=np.uint64)
+        sat = np.full(words.shape, _WORD, dtype=np.uint64)
+        for k, m, j in cls0:
+            pk = patterns(int(k), words)
+            pm = patterns(int(m), words)
+            pj = patterns(int(j), words)
+            sat &= (pk ^ pm ^ pj) & ~((pk & pm) | (pm & pj) | (pk & pj))
+        if n < 6:
+            sat &= np.uint64((1 << (1 << n)) - 1)  # only 2^n slots are real
+        count += int(np.bitwise_count(sat).sum())
+        if first_index is None:
+            nz = np.flatnonzero(sat)
+            if nz.size:
+                w = int(sat[nz[0]])
+                slot = (w & -w).bit_length() - 1
+                first_index = (base + int(nz[0])) * 64 + slot
+
+    if first_index is None:
+        return None, 0
+    return [(first_index >> v) & 1 for v in range(n)], count
 
 
 # --- parsing ---------------------------------------------------------------
@@ -198,3 +258,52 @@ def test_oracle_matches_slow_reference(n, seed, data):
         # both report the lowest-index satisfying assignment
         assert res.witness.tolist() == witness
         assert check_assignment(inst, res.witness).satisfied
+
+
+def assert_matches_reference(inst):
+    witness, count = bitsliced_oracle(inst)
+    res = brute_force_oracle(inst)
+    assert res.satisfiable == (count > 0)
+    assert res.n_solutions == count
+    assert (None if res.witness is None else res.witness.tolist()) == witness
+
+
+def test_bitsliced_reference_matches_slow_reference():
+    for seed in range(20):
+        inst = generate_instance(10, 3 + seed % 6, seed)
+        assert bitsliced_oracle(inst) == slow_oracle(10, inst.clauses.tolist())
+
+
+@pytest.mark.parametrize("r", [round(0.3 + 0.05 * i, 10) for i in range(13)])
+def test_oracle_matches_bitsliced_reference_n24(r):
+    # criterion 08's grid at N=24, two instances per ratio
+    m = clause_count_for_ratio(r, 24)
+    for seed in (1, 2):
+        assert_matches_reference(generate_instance(24, m, seed))
+
+
+def test_oracle_free_variables_double_the_count():
+    res = brute_force_oracle(make_instance(8, [(1, 2, 3)]))
+    assert res.n_solutions == 96  # 3 covers of the clause x 2^5 free variables
+    assert res.witness.tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_oracle_propagation_forces_a_later_branch_variable():
+    # branching z_8 = 0, z_7 = 0 forces z_6 = 1 through (6 7 8) before z_6's
+    # own turn, which forces z_4 = z_5 = 0 through (4 5 6) and then z_1 = 1
+    # through (1 4 7); the first branch on z_3 (0) leaves z_2 = 1
+    inst = make_instance(8, [(6, 7, 8), (4, 5, 6), (1, 4, 7), (2, 3, 8)])
+    res = brute_force_oracle(inst)
+    assert res.witness.tolist() == [1, 1, 0, 0, 0, 1, 0, 0]
+    assert_matches_reference(inst)
+
+
+def test_oracle_unsat_refuted_by_propagation():
+    # z_5 = 1 zeroes z_1..z_4, three 0s in (1 3 4). Under z_5 = 0, z_4 = 1
+    # zeroes z_1, z_2 and z_3, three 0s in (1 2 5); z_4 = 0 forces z_3 = 1
+    # through (3 4 5), which zeroes z_1 and z_2, again three 0s in (1 2 5).
+    # Every branch ends in a propagation conflict
+    inst = make_instance(5, [(1, 2, 5), (3, 4, 5), (1, 3, 4), (2, 3, 4)])
+    res = brute_force_oracle(inst)
+    assert not res.satisfiable and res.witness is None and res.n_solutions == 0
+    assert_matches_reference(inst)
