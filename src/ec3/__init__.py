@@ -57,7 +57,6 @@ from .solver import (
     StoppingRule,
     Trajectory,
     bsgd_run,
-    config_with,
     derive_run_seed,
     mix64,
     rerun_with_trajectory,

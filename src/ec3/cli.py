@@ -12,8 +12,10 @@ run budget or UNSAT, 2 = usage or input error.
 
 The --workers flag only chooses how much hardware to use: solve and sweep
 results are contractually identical for every worker count (runs are
-scheduled in fixed waves keyed to run indices), so the worker count is not
-part of the reproducibility header.
+keyed to run indices and reported up to the first success, whether they
+descend in one process's batches or in pool waves), so the worker count is
+not part of the reproducibility header. A sweep's header carries no solver
+seed: each cell derives its own from the instance seed.
 """
 
 from __future__ import annotations
@@ -117,16 +119,19 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
-def _echo_solver_config(cfg: SolverConfig, restarts: int) -> None:
+def _echo_solver_config(cfg: SolverConfig, restarts: int, with_seed: bool = True) -> None:
+    # a sweep passes with_seed=False: each of its cells derives its own
+    # solver seed from the instance seed, so cfg.seed changes nothing there
+    seed = f" seed={cfg.seed}" if with_seed else ""
     _echo(
         f"config: eta={_g9(cfg.eta)} radius={_g9(cfg.start_radius)} "
-        f"max-iters={cfg.max_iters} tol={_g9(cfg.stop_tol)} seed={cfg.seed} "
+        f"max-iters={cfg.max_iters} tol={_g9(cfg.stop_tol)}{seed} "
         f"restarts={restarts} record-every={cfg.record_every}"
     )
 
 
-def _config_dict(cfg: SolverConfig, restarts: int) -> dict:
-    return {
+def _config_dict(cfg: SolverConfig, restarts: int, with_seed: bool = True) -> dict:
+    d = {
         "eta": cfg.eta,
         "start_radius": cfg.start_radius,
         "max_iters": cfg.max_iters,
@@ -135,6 +140,9 @@ def _config_dict(cfg: SolverConfig, restarts: int) -> dict:
         "restarts": restarts,
         "record_every": cfg.record_every,
     }
+    if not with_seed:
+        del d["seed"]
+    return d
 
 
 def _instance_dict(instance, path=None) -> dict:
@@ -328,7 +336,7 @@ def cmd_sweep(args) -> int:
             f"sweep: n={args.n_vars} r={_g9(args.r_from)}..{_g9(args.r_to)} step={_g9(args.step)} "
             f"per-r={args.per_r} budget={args.budget} oracle={str(args.oracle).lower()}"
         )
-        _echo_solver_config(cfg, args.budget)
+        _echo_solver_config(cfg, args.budget, with_seed=False)
     rstar = r_star_estimate(report)
     if args.format == "json":
         doc = {
@@ -342,7 +350,7 @@ def cmd_sweep(args) -> int:
                 "base_seed": args.seed,
                 "oracle": args.oracle,
                 "oracle_cap": args.cap,
-                **_config_dict(cfg, args.budget),
+                **_config_dict(cfg, args.budget, with_seed=False),
             },
             "rows": [
                 {

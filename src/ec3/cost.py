@@ -47,25 +47,26 @@ class CostFunction:
     The gradient is assembled from clause incidence: each clause contributes
     3·x_a·x_b − x_a − x_b to the component of its third member, where a, b
     are the other two variables. Components of variables that appear in no
-    clause are identically zero. Cost O(M) and gradient O(3M) per
-    evaluation; immutable and safe to share across workers.
+    clause are identically zero. F and ∇F come from one gather and one
+    scatter of O(M) entries per evaluation, for a single point or a batch
+    of them; immutable and safe to share across workers.
     """
 
     instance: Instance
-    _ka: np.ndarray = field(repr=False)  # clause columns, 0-based
-    _kb: np.ndarray = field(repr=False)
-    _kc: np.ndarray = field(repr=False)
-    _scatter: np.ndarray = field(repr=False)  # concat of the three columns
+    # the clause columns (0-based) as [a, b, c], the bins of ∇F's terms
+    _scatter: np.ndarray = field(repr=False)
+    # [[b, a, a], [c, c, b]]: the (u, v) of each term 3·u·v − u − v
+    _gather: np.ndarray = field(repr=False)
+    # batch width -> (gather, scatter) indices into the flattened batch
+    _batch_index: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "CostFunction":
-        c = instance.clauses.astype(np.int64) - 1
-        c = c.reshape(-1, 3)
-        ka, kb, kc = c[:, 0].copy(), c[:, 1].copy(), c[:, 2].copy()
-        scatter = np.concatenate([ka, kb, kc])
-        for a in (ka, kb, kc, scatter):
-            a.setflags(write=False)
-        return cls(instance, ka, kb, kc, scatter)
+        scatter = np.ascontiguousarray(instance.clauses.T, dtype=np.int64) - 1
+        gather = scatter[[[1, 0, 0], [2, 2, 1]]]
+        for arr in (scatter, gather):
+            arr.setflags(write=False)
+        return cls(instance, scatter, gather)
 
     @property
     def n_vars(self) -> int:
@@ -75,30 +76,64 @@ class CostFunction:
         if x.shape != (self.n_vars,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.n_vars},)")
 
-    def cost(self, x) -> float:
-        """F(X) = Σ_i P_i. Exact integer at vertices."""
+    def _index(self, r: int):
+        """Gather and scatter indices for a batch of r rows: row b's entries
+        are offset by b·N, so one bincount keeps the rows apart and still adds
+        each row's terms in clause order, a-terms first, as for one point."""
+        if r == 1:
+            return self._gather[:, :, None, :], self._scatter.ravel()
+        index = self._batch_index.get(r)
+        if index is None:
+            offsets = self.n_vars * np.arange(r)[:, None]
+            index = (
+                self._gather[:, :, None, :] + offsets,
+                (self._scatter[:, None, :] + offsets).ravel(),
+            )
+            self._batch_index[r] = index
+        return index
+
+    def cost_and_gradient(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """F at each row of an (R, N) batch of points, and ∇F there.
+
+        One C-contiguous gather of the clause columns serves both: with
+        (u, v) = (x_b, x_c), (x_a, x_c), (x_a, x_b), the terms of ∂F/∂x_a,
+        ∂F/∂x_b, ∂F/∂x_c are 3·u·v − u − v, and P reuses (3·x_a)·x_b and the
+        products u·v. Every row is summed and scattered in the order a lone
+        point is, so its results are bitwise those of `cost` and `gradient`
+        on that row.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_vars:
+            raise ValueError(f"batch has shape {X.shape}, expected (R, {self.n_vars})")
+        r, n = X.shape
+        if self.instance.n_clauses == 0:  # bincount of no weights is integer
+            return np.zeros(r), np.zeros((r, n))
+        gather, scatter = self._index(r)
+        # take gives C order; X[:, cols] would give F order, whose row sums
+        # add sequentially instead of pairwise
+        pairs = X.take(gather)
+        u, v = pairs[0], pairs[1]
+        uv3 = 3.0 * u * v
+        uv = u * v
+        # P = 1 + 3·x_a·x_b·x_c − x_a·x_b − x_b·x_c − x_a·x_c, in that order
+        p = 1.0 + uv3[2] * v[0] - uv[2] - uv[0] - uv[1]
+        terms = uv3 - u - v
+        grad = np.bincount(scatter, weights=terms.ravel(), minlength=r * n)
+        return p.sum(axis=1), grad.reshape(r, n)
+
+    def _one_row(self, x) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=np.float64)
         self._check_len(x)
-        if len(self._ka) == 0:
-            return 0.0
-        p = clause_probability(x[self._ka], x[self._kb], x[self._kc])
-        return float(p.sum())
+        f, g = self.cost_and_gradient(x[None, :])
+        return float(f[0]), g[0]
+
+    def cost(self, x) -> float:
+        """F(X) = Σ_i P_i. Exact integer at vertices."""
+        return self._one_row(x)[0]
 
     def gradient(self, x) -> np.ndarray:
         """∂F/∂x_j for all j; exactly zero for zero-degree variables."""
-        x = np.asarray(x, dtype=np.float64)
-        self._check_len(x)
-        if len(self._ka) == 0:
-            return np.zeros(self.n_vars)
-        xa, xb, xc = x[self._ka], x[self._kb], x[self._kc]
-        terms = np.concatenate(
-            [
-                3.0 * xb * xc - xb - xc,
-                3.0 * xa * xc - xa - xc,
-                3.0 * xa * xb - xa - xb,
-            ]
-        )
-        return np.bincount(self._scatter, weights=terms, minlength=self.n_vars)
+        return self._one_row(x)[1]
 
     def hessian(self, x) -> np.ndarray:
         """Dense Hessian, offered as a diagnostic: entry (j, a) sums
@@ -107,7 +142,7 @@ class CostFunction:
         x = np.asarray(x, dtype=np.float64)
         self._check_len(x)
         h = np.zeros((self.n_vars, self.n_vars))
-        cols = (self._ka, self._kb, self._kc)
+        cols = self._scatter
         for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
             w = 3.0 * x[cols[k]] - 1.0
             np.add.at(h, (cols[i], cols[j]), w)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .instance import ORACLE_CAP, brute_force_oracle, generate_instance
 from .solver import (
     SolverConfig,
     Trajectory,
-    config_with,
     derive_run_seed,
     mix64,
     rerun_with_trajectory,
@@ -234,7 +233,7 @@ def phase_sweep(
     for i, (r, m) in enumerate(plan):
         for j in range(instances_per_r):
             inst_seed = derive_run_seed(base_seed, (i << 32) | j)
-            cell_cfg = config_with(config, seed=mix64(inst_seed))
+            cell_cfg = replace(config, seed=mix64(inst_seed))
             cells.append(
                 (n_vars, m, inst_seed, cell_cfg, run_budget, use_oracle, oracle_cap, classify)
             )

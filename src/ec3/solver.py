@@ -12,11 +12,19 @@ of radius r (`sample_start`) moves each coordinate by only about r/√N, and at
 N = 1000 the restarts of one instance then mostly share a single outcome, so
 they are not the independent trials the stopping rule assumes.
 
+One descent engine runs every descent: it steps R runs of one instance as
+the rows of an (R × N) array, with one fused F/∇F evaluation per step
+(`CostFunction.cost_and_gradient`), and a row leaves the array when its run
+stops. Each row's arithmetic is that of a run started alone, so a run's
+result is bitwise the same in a batch of any width; a single run
+(`bsgd_run`) is a batch of one, the only width that records a trajectory.
+
 Restarts draw independent start points from per-run seeds derived
 deterministically from the base seed (see derive_run_seed), so a multi-run
-solve is reproducible and — because runs are scheduled in fixed waves and
-reported up to the smallest successful run index — its outcome is identical
-for any worker-pool size.
+solve is reproducible. With one worker, restarts descend in lockstep batches
+of consecutive run indices; with several, in fixed waves of one-run pool
+tasks. Either way runs are reported up to the smallest successful run index,
+so a solve's outcome is identical for any worker-pool size.
 
 Run-count planning uses the geometric-trial picture: if a single run succeeds
 with probability q, the expected number of runs to the first success is
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,74 +202,103 @@ def bsgd_run(
     The certificate flag records whether any strictly interior iterate had
     F < 1, which proves satisfiability by the union bound regardless of
     whether this particular run rounds to a solution.
+
+    This is the descent engine on a batch of one, the only batch shape that
+    records a trajectory.
     """
-    x = np.asarray(start, dtype=np.float64).copy()
+    x = np.asarray(start, dtype=np.float64)
     f._check_len(x)
-    if not bool(np.all((x > 0.0) & (x < 1.0))):
+    (result,), log = _descend(f, config, x[None, :], record)
+    if record:
+        iterations, costs, snapshots = log
+        result.trajectory = Trajectory(
+            instance_id=f.instance.label or f"ec3-n{f.instance.n_vars}-m{f.instance.n_clauses}",
+            run_seed=run_seed,
+            iterations=np.array(iterations, dtype=np.int64),
+            costs=np.array(costs),
+            snapshots=np.array(snapshots),
+            stride=config.record_every,
+        )
+    return result
+
+
+def _descend(f: CostFunction, config: SolverConfig, starts: np.ndarray, record: bool = False):
+    """Descend from every row of the (R, N) array `starts` in lockstep.
+
+    Each row takes exactly the steps, and gets exactly the result, of a run
+    started alone from it; a row leaves the batch when it stops. Rows are
+    read as consecutive run indices: when one ends Solved, every live row
+    after it is dropped (no run past a success is reported), and the rows
+    before it run on. Returns one RunResult per row, None for a
+    dropped row, and, when `record` (a batch of one), the sampled
+    (iterations, costs, snapshots) of the run.
+    """
+    X = np.array(starts, dtype=np.float64)
+    if not bool(np.all((X > 0.0) & (X < 1.0))):
         raise ValueError("start point must lie strictly inside the open unit hypercube")
 
     eta = config.eta
-    cost_now = f.cost(x)
-    certificate = cost_now < 1.0  # the start itself is strictly interior
+    F, G = f.cost_and_gradient(X)
+    certificate = F < 1.0  # the starts themselves are strictly interior
+    rows = np.arange(len(X))  # the row of `starts` behind each live row
+    results = [None] * len(X)
+    log = ([1], [float(F[0])], [X[0].copy()]) if record else None
 
-    iters_log, costs_log, snaps_log = [], [], []
-    if record:
-        iters_log.append(1)
-        costs_log.append(cost_now)
-        snaps_log.append(x.copy())
-
-    converged = False
     k = 0
-    while k < config.max_iters:
+    while len(rows):
         k += 1
-        g = f.gradient(x)
-        xn = np.clip(x - eta * g, 0.0, 1.0)
-        delta = float(np.max(np.abs(xn - x))) if len(x) else 0.0
-        x = xn
-        cost_now = f.cost(x)
-        if cost_now < 1.0 and bool(np.all((x > 0.0) & (x < 1.0))):
-            certificate = True
+        # clamp to [0, 1] as np.clip does (the two differ only on -0.0,
+        # which no iterate can hold) at a fraction of its call cost
+        Xn = X - eta * G
+        np.maximum(Xn, 0.0, out=Xn)
+        np.minimum(Xn, 1.0, out=Xn)
+        delta = np.max(np.abs(Xn - X), axis=1)
+        X = Xn
+        F, G = f.cost_and_gradient(X)
+        low = F < 1.0
+        if low.any():
+            certificate |= low & np.all((X > 0.0) & (X < 1.0), axis=1)
         if record and (k <= 5 or k % config.record_every == 0):
-            iters_log.append(k + 1)
-            costs_log.append(cost_now)
-            snaps_log.append(x.copy())
-        if delta <= config.stop_tol:
-            converged = True
-            break
+            _log_iterate(log, k, F, X)
+        if delta.min() > config.stop_tol and k < config.max_iters:
+            continue
+        converged = delta <= config.stop_tol
+        stopped = converged if k < config.max_iters else np.ones_like(converged)
+        if record and log[0][-1] != k + 1:
+            _log_iterate(log, k, F, X)
+        live = ~stopped
+        for i in np.flatnonzero(stopped):
+            res = _finish(f, config, X[i], F[i], G[i], k, converged[i], certificate[i])
+            results[rows[i]] = res
+            if res.status == SOLVED:
+                live &= rows < rows[i]
+                break
+        X, G, certificate, rows = X[live], G[live], certificate[live], rows[live]
+    return results, log
 
-    if record and iters_log[-1] != k + 1:
-        iters_log.append(k + 1)
-        costs_log.append(cost_now)
-        snaps_log.append(x.copy())
 
+def _log_iterate(log, k, F, X):
+    iterations, costs, snapshots = log
+    iterations.append(k + 1)
+    costs.append(float(F[0]))
+    snapshots.append(X[0].copy())
+
+
+def _finish(f, config, x, cost_now, grad, k, converged, certificate) -> RunResult:
+    """Round, verify and classify a run that stopped at x after k updates;
+    `grad` is ∇F at x."""
     rounded = round_point(x, config.stop_tol)
     vcost = f.cost(vertex_point(rounded))
     verdict = check_assignment(f.instance, rounded)
-
     if verdict.satisfied and vcost == 0.0:
         status = SOLVED
     elif not converged:
         status = ITERATION_CAP
+    elif float(np.max(np.abs(grad))) < _STALL_GRAD_TOL and not np.all((x == 0.0) | (x == 1.0)):
+        status = ITERATION_CAP  # stationary stall (saddle), not a decision
     else:
-        at_vertex = bool(np.all((x == 0.0) | (x == 1.0)))
-        grad_inf = float(np.max(np.abs(f.gradient(x)))) if len(x) else 0.0
-        if grad_inf < _STALL_GRAD_TOL and not at_vertex:
-            status = ITERATION_CAP  # stationary stall (saddle), not a decision
-        else:
-            status = CONVERGED_UNSOLVED
-
-    trajectory = None
-    if record:
-        iters_arr = np.array(iters_log, dtype=np.int64)
-        trajectory = Trajectory(
-            instance_id=f.instance.label or f"ec3-n{f.instance.n_vars}-m{f.instance.n_clauses}",
-            run_seed=run_seed,
-            iterations=iters_arr,
-            costs=np.array(costs_log),
-            snapshots=np.array(snaps_log),
-            stride=config.record_every,
-        )
-    return RunResult(status, x, cost_now, float(vcost), rounded, k, certificate, trajectory)
+        status = CONVERGED_UNSOLVED
+    return RunResult(status, x.copy(), float(cost_now), float(vcost), rounded, k, bool(certificate))
 
 
 @dataclass
@@ -297,10 +334,22 @@ class SolveOutcome:
     stats: RestartStats
 
 
+# Up to about this many clause terms and gradient entries in a step (3M + N
+# a row), a step's cost is mostly per-call overhead, so extra rows come
+# nearly free; past it, time grows with the width, and the rows after an
+# early success only add work that is thrown away.
+_BATCH_ELEMENTS = 1024
+
+
+def _run_start(f: CostFunction, config: SolverConfig, index: int):
+    """(run seed, start point) of restart `index`."""
+    seed = derive_run_seed(config.seed, index)
+    return seed, restart_start(f.n_vars, config.start_radius, np.random.default_rng(seed))
+
+
 def _restart_task(args, record=False):
     f, config, index = args
-    seed = derive_run_seed(config.seed, index)
-    start = restart_start(f.n_vars, config.start_radius, np.random.default_rng(seed))
+    seed, start = _run_start(f, config, index)
     return bsgd_run(f, config, start, record=record, run_seed=seed)
 
 
@@ -309,11 +358,13 @@ def solve_with_restarts(
 ) -> SolveOutcome:
     """Up to max_runs independent runs, stopping at the first success.
 
-    Runs are scheduled in waves of `workers`; after a wave containing a
-    success, results are truncated at the smallest successful index. The
-    returned results list — and hence every statistic — is therefore
-    identical for any worker count: runs 0..w for a win at index w, or all
-    max_runs on failure.
+    With one worker, runs descend in lockstep batches of
+    W = max(1, 1024 // (3M + N)) consecutive run indices (fewer for the
+    last); with more, runs are scheduled in waves of `workers` pool tasks,
+    one run each. Either way the results are truncated at the smallest
+    successful index, so the returned results list — and hence every
+    statistic — is identical for any worker count: runs 0..w for a win at
+    index w, or all max_runs on failure.
     """
     if max_runs < 1:
         raise ValueError("max_runs must be at least 1")
@@ -325,22 +376,23 @@ def solve_with_restarts(
         nonlocal winner_index
         for offset, res in enumerate(batch_results):
             results.append(res)
-            if winner_index is None and res.status == SOLVED:
+            if res.status == SOLVED:
                 winner_index = batch_start + offset
-        if winner_index is not None:
-            del results[winner_index + 1 :]
+                break
 
     if workers == 1:
-        for i in range(max_runs):
-            consume([_restart_task((f, config, i))], i)
+        width = max(1, _BATCH_ELEMENTS // (3 * f.instance.n_clauses + f.n_vars))
+        for base in range(0, max_runs, width):
+            idx = range(base, min(base + width, max_runs))
+            starts = np.array([_run_start(f, config, i)[1] for i in idx])
+            consume(_descend(f, config, starts)[0], base)
             if winner_index is not None:
                 break
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for base in range(0, max_runs, workers):
                 idx = range(base, min(base + workers, max_runs))
-                batch = list(pool.map(_restart_task, [(f, config, i) for i in idx]))
-                consume(batch, base)
+                consume(list(pool.map(_restart_task, [(f, config, i) for i in idx])), base)
                 if winner_index is not None:
                     break
 
@@ -377,7 +429,3 @@ def stopping_rule(q_assumed: float, k: float) -> StoppingRule:
     bound = (1.0 - q_assumed) / ((1.0 - q_assumed) + (k - 1.0) ** 2)
     return StoppingRule(int(required), float(bound))
 
-
-def config_with(config: SolverConfig, **overrides) -> SolverConfig:
-    """Copy a config with some fields replaced (validation re-runs)."""
-    return replace(config, **overrides)

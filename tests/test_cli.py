@@ -209,6 +209,9 @@ def test_sweep_csv_output(tmp_path, capsys):
     assert lines[2].startswith("0.5,6,12,2,")
     echoed = capsys.readouterr().out
     assert "c sweep: n=12" in echoed
+    # every cell derives its own solver seed, so no solver seed is echoed
+    config_line = next(ln for ln in echoed.splitlines() if ln.startswith("c config:"))
+    assert "seed=" not in config_line
 
 
 def test_sweep_json_document(capsys):
@@ -217,6 +220,8 @@ def test_sweep_json_document(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == 1 and doc["command"] == "sweep"
     assert doc["config"]["r_grid"] == [0.25, 0.5]
+    assert doc["config"]["base_seed"] == 5
+    assert "seed" not in doc["config"]  # cells derive their solver seeds
     assert len(doc["rows"]) == 2
     assert "r_star" in doc
     for row in doc["rows"]:

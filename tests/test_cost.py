@@ -18,6 +18,33 @@ from ec3 import (
 from conftest import REF15_SOLUTION
 
 
+def reference_cost(instance, x) -> float:
+    """F by a gather of its own, summed as one 1-D array: the two-pass
+    kernel that the fused batch kernel replaced, kept as its reference."""
+    c = instance.clauses.astype(np.int64).reshape(-1, 3) - 1
+    if len(c) == 0:
+        return 0.0
+    return float(clause_probability(x[c[:, 0]], x[c[:, 1]], x[c[:, 2]]).sum())
+
+
+def reference_gradient(instance, x) -> np.ndarray:
+    """∇F by a second gather and one bincount over the concatenated a-, b-
+    and c-terms; the reference for the fused kernel's gradient."""
+    c = instance.clauses.astype(np.int64).reshape(-1, 3) - 1
+    if len(c) == 0:
+        return np.zeros(instance.n_vars)
+    ka, kb, kc = c[:, 0], c[:, 1], c[:, 2]
+    xa, xb, xc = x[ka], x[kb], x[kc]
+    terms = np.concatenate(
+        [
+            3.0 * xb * xc - xb - xc,
+            3.0 * xa * xc - xa - xc,
+            3.0 * xa * xb - xa - xb,
+        ]
+    )
+    return np.bincount(np.concatenate([ka, kb, kc]), weights=terms, minlength=instance.n_vars)
+
+
 def fd_gradient(f, x, h=1e-5):
     """Central-difference gradient, the numerical oracle for the analytic one."""
     g = np.empty(len(x))
@@ -133,6 +160,41 @@ def test_gradient_zero_degree_component_is_zero():
     for _ in range(20):
         g = f.gradient(rng.uniform(-1, 2, 5))  # extended domain too
         assert g[3] == 0.0 and g[4] == 0.0
+
+
+# --- the fused batch kernel ---------------------------------------------------
+
+
+@pytest.mark.parametrize("n,m", [(24, 7), (24, 18), (100, 40), (1000, 25), (1000, 250), (60, 200)])
+def test_batch_kernel_rows_bitwise_equal_reference(n, m):
+    # M = 200 > 128 puts numpy's pairwise summation into its blocked branch
+    rng = np.random.default_rng(n * 1000 + m)
+    for s in range(3):
+        inst = generate_instance(n, m, s)
+        f = CostFunction.from_instance(inst)
+        for width in (1, 2, 5, 10):
+            X = rng.uniform(0, 1, (width, n))
+            X[0] = rng.integers(0, 2, n)  # a vertex row
+            F, G = f.cost_and_gradient(X)
+            assert F.shape == (width,) and G.shape == (width, n)
+            for b in range(width):
+                want_f = reference_cost(inst, X[b])
+                want_g = reference_gradient(inst, X[b])
+                assert np.float64(F[b]).tobytes() == np.float64(want_f).tobytes()
+                assert G[b].tobytes() == want_g.tobytes()
+                assert f.cost(X[b]) == want_f
+                assert f.gradient(X[b]).tobytes() == want_g.tobytes()
+
+
+def test_batch_kernel_empty_instance_and_shape_check():
+    f = CostFunction.from_instance(make_instance(3, np.zeros((0, 3), np.int32)))
+    F, G = f.cost_and_gradient(np.full((2, 3), 0.5))
+    assert F.dtype == G.dtype == np.float64
+    assert np.array_equal(F, [0.0, 0.0]) and np.array_equal(G, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        f.cost_and_gradient(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="shape"):
+        f.cost_and_gradient(np.zeros(3))
 
 
 # --- second-order structure ---------------------------------------------------

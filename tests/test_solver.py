@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from ec3 import (
     CONVERGED_UNSOLVED,
     ITERATION_CAP,
@@ -13,9 +15,12 @@ from ec3 import (
     SOLVED,
     CostFunction,
     RestartStats,
+    RunResult,
     SolverConfig,
+    Trajectory,
     bsgd_run,
-    config_with,
+    check_assignment,
+    clause_count_for_ratio,
     derive_run_seed,
     generate_instance,
     make_instance,
@@ -26,7 +31,126 @@ from ec3 import (
     sample_start,
     solve_with_restarts,
     stopping_rule,
+    vertex_point,
 )
+from ec3.solver import _descend, _run_start
+from test_cost import reference_cost, reference_gradient
+
+
+# --- the reference: one run at a time -----------------------------------------
+
+
+def reference_run(f, config, start, record=False, run_seed=None) -> RunResult:
+    """One projected-descent run, one point at a time, on the two-pass
+    reference kernel: the loop the batched engine replaced, kept as the
+    reference it must match bit for bit."""
+    inst = f.instance
+    x = np.asarray(start, dtype=np.float64).copy()
+    eta = config.eta
+    cost_now = reference_cost(inst, x)
+    certificate = cost_now < 1.0
+
+    iters_log, costs_log, snaps_log = [], [], []
+    if record:
+        iters_log.append(1)
+        costs_log.append(cost_now)
+        snaps_log.append(x.copy())
+
+    converged = False
+    k = 0
+    while k < config.max_iters:
+        k += 1
+        g = reference_gradient(inst, x)
+        xn = np.clip(x - eta * g, 0.0, 1.0)
+        delta = float(np.max(np.abs(xn - x)))
+        x = xn
+        cost_now = reference_cost(inst, x)
+        if cost_now < 1.0 and bool(np.all((x > 0.0) & (x < 1.0))):
+            certificate = True
+        if record and (k <= 5 or k % config.record_every == 0):
+            iters_log.append(k + 1)
+            costs_log.append(cost_now)
+            snaps_log.append(x.copy())
+        if delta <= config.stop_tol:
+            converged = True
+            break
+
+    if record and iters_log[-1] != k + 1:
+        iters_log.append(k + 1)
+        costs_log.append(cost_now)
+        snaps_log.append(x.copy())
+
+    rounded = round_point(x, config.stop_tol)
+    vcost = reference_cost(inst, vertex_point(rounded))
+    verdict = check_assignment(inst, rounded)
+    if verdict.satisfied and vcost == 0.0:
+        status = SOLVED
+    elif not converged:
+        status = ITERATION_CAP
+    else:
+        at_vertex = bool(np.all((x == 0.0) | (x == 1.0)))
+        grad_inf = float(np.max(np.abs(reference_gradient(inst, x))))
+        if grad_inf < 1e-15 and not at_vertex:
+            status = ITERATION_CAP
+        else:
+            status = CONVERGED_UNSOLVED
+
+    trajectory = None
+    if record:
+        trajectory = Trajectory(
+            instance_id=inst.label or f"ec3-n{inst.n_vars}-m{inst.n_clauses}",
+            run_seed=run_seed,
+            iterations=np.array(iters_log, dtype=np.int64),
+            costs=np.array(costs_log),
+            snapshots=np.array(snaps_log),
+            stride=config.record_every,
+        )
+    return RunResult(status, x, cost_now, float(vcost), rounded, k, certificate, trajectory)
+
+
+def reference_solve(f, config, max_runs):
+    """(winner_index, results) of restarts 0, 1, … run one after another up
+    to the first success."""
+    results = []
+    for i in range(max_runs):
+        seed = derive_run_seed(config.seed, i)
+        start = restart_start(f.n_vars, config.start_radius, np.random.default_rng(seed))
+        results.append(reference_run(f, config, start))
+        if results[-1].status == SOLVED:
+            return i, results
+    return None, results
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+def assert_same_run(got, want):
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    assert got.final_point.tobytes() == want.final_point.tobytes()
+    assert _bits(got.final_cost) == _bits(want.final_cost)
+    assert _bits(got.vertex_cost) == _bits(want.vertex_cost)
+    assert got.certificate == want.certificate
+    assert got.rounded.tobytes() == want.rounded.tobytes()
+    assert (got.trajectory is None) == (want.trajectory is None)
+    if want.trajectory is not None:
+        a, b = got.trajectory, want.trajectory
+        assert (a.instance_id, a.run_seed, a.stride) == (b.instance_id, b.run_seed, b.stride)
+        assert a.iterations.tobytes() == b.iterations.tobytes()
+        assert a.costs.tobytes() == b.costs.tobytes()
+        assert a.snapshots.tobytes() == b.snapshots.tobytes()
+
+
+def assert_solve_matches_reference(f, config, max_runs):
+    out = solve_with_restarts(f, config, max_runs)
+    winner, results = reference_solve(f, config, max_runs)
+    assert out.winner_index == winner
+    assert len(out.results) == len(results)
+    for got, want in zip(out.results, results):
+        assert_same_run(got, want)
+    assert out.winner is (out.results[winner] if winner is not None else None)
+    return out
 
 
 # --- seed derivation ----------------------------------------------------------
@@ -66,12 +190,12 @@ def test_solver_config_validation(bad):
         SolverConfig(**bad)
 
 
-def test_config_with_revalidates():
+def test_replace_revalidates_config():
     cfg = SolverConfig()
-    assert config_with(cfg, eta=0.01).eta == 0.01
+    assert replace(cfg, eta=0.01).eta == 0.01
     assert cfg.eta == 0.005  # original untouched
     with pytest.raises(ValueError):
-        config_with(cfg, start_radius=0.7)
+        replace(cfg, start_radius=0.7)
 
 
 # --- start sampling -----------------------------------------------------------
@@ -371,6 +495,91 @@ def test_restarts_rerun_reproduces_winner(ref15_cost):
 def test_restarts_budget_validation(ref15_cost):
     with pytest.raises(ValueError):
         solve_with_restarts(ref15_cost, SolverConfig(), max_runs=0)
+
+
+# --- the batched engine against the reference, bit for bit --------------------
+
+
+def test_engine_matches_reference_on_criterion_08_grid():
+    # criterion 08's cells: N = 24, r = 0.30 … 0.90, budget 5, seeds as
+    # phase_sweep derives them (batches of 5 rows)
+    for i in range(13):
+        m = clause_count_for_ratio(round(0.3 + 0.05 * i, 10), 24)
+        for j in range(3):
+            inst_seed = derive_run_seed(2024, (i << 32) | j)
+            f = CostFunction.from_instance(generate_instance(24, m, inst_seed))
+            assert_solve_matches_reference(f, SolverConfig(seed=mix64(inst_seed)), 5)
+
+
+def test_engine_matches_reference_at_desk_scale():
+    # criterion 06's (100, 40) panel, 10 runs in batches of 4
+    for s in range(10):
+        f = CostFunction.from_instance(generate_instance(100, 40, s))
+        assert_solve_matches_reference(f, SolverConfig(seed=1000 + s), 10)
+
+
+@pytest.mark.parametrize("m", [25, 250])
+def test_engine_matches_reference_at_n1000(m):
+    # r = 0.025 and r = 0.25; one row a batch at this size
+    for s in range(2):
+        f = CostFunction.from_instance(generate_instance(1000, m, s))
+        assert_solve_matches_reference(f, SolverConfig(seed=1000 + s), 2)
+
+
+def test_engine_matches_reference_on_edge_runs(unsat4_cost):
+    empty = CostFunction.from_instance(make_instance(3, np.zeros((0, 3), np.int32)))
+    assert_solve_matches_reference(empty, SolverConfig(seed=4), 3)
+    assert_solve_matches_reference(unsat4_cost, SolverConfig(seed=1), 6)
+    capped = SolverConfig(seed=2, max_iters=7, record_every=3)
+    f = CostFunction.from_instance(generate_instance(24, 18, 5))
+    out = assert_solve_matches_reference(f, capped, 5)
+    assert [r.status for r in out.results] == [ITERATION_CAP] * 5
+    saddle = np.full(4, SADDLE_COORD)
+    cases = [
+        (unsat4_cost, SolverConfig(), saddle),
+        (empty, SolverConfig(), np.array([0.2, 0.5, 0.9])),
+        (f, capped, _run_start(f, capped, 0)[1]),
+    ]
+    for cost, cfg, start in cases:
+        for record in (False, True):
+            assert_same_run(
+                bsgd_run(cost, cfg, start, record=record, run_seed=7),
+                reference_run(cost, cfg, start, record=record, run_seed=7),
+            )
+
+
+def test_engine_recorded_runs_match_reference():
+    f = CostFunction.from_instance(generate_instance(100, 40, 1))
+    cfg = SolverConfig(seed=3, record_every=7)
+    for index in range(3):
+        seed, start = _run_start(f, cfg, index)
+        assert_same_run(
+            rerun_with_trajectory(f, cfg, index),
+            reference_run(f, cfg, start, record=True, run_seed=seed),
+        )
+
+
+def test_engine_batch_whose_winner_is_not_row_zero():
+    # Scan (30, 13) solver seeds for a batch of 8 rows that wins after row
+    # 0, where a later row ends Solved before the winner does and live rows
+    # are dropped: the rows before a success run on, and the engine still
+    # reports exactly the reference's runs 0..w.
+    f = CostFunction.from_instance(generate_instance(30, 13, 0))
+    for seed in range(64):
+        cfg = SolverConfig(seed=seed)
+        starts = np.array([_run_start(f, cfg, i)[1] for i in range(8)])
+        results, _ = _descend(f, cfg, starts)
+        solved = [i for i, r in enumerate(results) if r is not None and r.status == SOLVED]
+        if len(solved) >= 2 and solved[0] > 0 and None in results:
+            break
+    else:
+        pytest.fail("no solver seed in 0..63 gives such a batch")
+    winner, want = reference_solve(f, cfg, 8)
+    assert winner == solved[0]
+    for got, ref in zip(results[: winner + 1], want):
+        assert_same_run(got, ref)
+    out = assert_solve_matches_reference(f, cfg, 8)
+    assert out.winner_index == winner
 
 
 # --- restart statistics -------------------------------------------------------
