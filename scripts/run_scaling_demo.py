@@ -28,7 +28,6 @@ def main():
     ap.add_argument("--trials", type=int, default=10, help="instances per size")
     ap.add_argument("--restarts", type=int, default=10, help="budget per instance")
     ap.add_argument("--seed", type=int, default=0, help="base seed for instances")
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     print(f"{'N':>6} {'M':>6} {'solved':>8} {'mean runs':>10} {'mean iters':>11} {'s/trial':>8}")
@@ -39,7 +38,7 @@ def main():
             inst = generate_instance(n, m, args.seed + t)
             f = CostFunction.from_instance(inst)
             cfg = SolverConfig(seed=1000 + args.seed + t)
-            out = solve_with_restarts(f, cfg, args.restarts, workers=args.workers)
+            out = solve_with_restarts(f, cfg, args.restarts)
             if out.solved:
                 solved += 1
                 runs.append(out.stats.runs_attempted)

@@ -10,12 +10,12 @@ reconstruct the exact double), human-readable text with 9.
 Exit codes: 0 = solved / SAT / report written, 1 = not solved within the
 run budget or UNSAT, 2 = usage or input error.
 
-The --workers flag only chooses how much hardware to use: solve and sweep
-results are contractually identical for every worker count (runs are
-keyed to run indices and reported up to the first success, whether they
-descend in one process's batches or in pool waves), so the worker count is
-not part of the reproducibility header. A sweep's header carries no solver
-seed: each cell derives its own from the instance seed.
+The --workers flag sets how many processes a sweep spreads its cells
+over; solve and trace run in one process and ignore it. A sweep's results
+are contractually identical for every worker count (each cell is seeded
+from its grid position alone), so the worker count is not part of the
+reproducibility header. A sweep's header carries no solver seed: each cell
+derives its own from the instance seed.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
     cfg = _solver_config(args)
     f = CostFunction.from_instance(inst)
-    outcome = solve_with_restarts(f, cfg, args.restarts, workers=args.workers)
+    outcome = solve_with_restarts(f, cfg, args.restarts)
     stats = outcome.stats
     any_certificate = any(r.certificate for r in outcome.results)
 
@@ -381,10 +381,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if args.format == "csv" and not args.output:
+        raise ValueError("trace in csv format needs --output (two files are written)")
     inst = _read_instance(args.instance)
     cfg = _solver_config(args)
     f = CostFunction.from_instance(inst)
-    outcome = solve_with_restarts(f, cfg, args.restarts, workers=args.workers)
+    outcome = solve_with_restarts(f, cfg, args.restarts)
     index = outcome.winner_index if outcome.solved else 0
     rerun = rerun_with_trajectory(f, cfg, index)
     labels = classify_flows(rerun.trajectory)
@@ -425,8 +427,6 @@ def cmd_trace(args) -> int:
         }
         _write_output(args, dumps17(doc))
     else:
-        if not args.output:
-            raise ValueError("trace in csv format needs --output (two files are written)")
         base = args.output[:-4] if args.output.endswith(".csv") else args.output
         labels_path = base + ".labels.csv"
         with open(args.output, "w") as fh:
@@ -466,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes (results are identical for any value)",
+        help="sweep: worker processes for the cells (results are identical for any "
+        "value); solve and trace ignore it",
     )
     solver_p.add_argument("--record-every", type=int, default=10, help="trajectory stride")
 

@@ -49,7 +49,9 @@ class CostFunction:
     are the other two variables. Components of variables that appear in no
     clause are identically zero. F and ∇F come from one gather and one
     scatter of O(M) entries per evaluation, for a single point or a batch
-    of them; immutable and safe to share across workers.
+    of them. Immutable: the index arrays of a batch belong to the caller
+    that steps it (`batch_index`), so an evaluation leaves nothing behind
+    on the object, and it is safe to share across workers.
     """
 
     instance: Instance
@@ -57,8 +59,6 @@ class CostFunction:
     _scatter: np.ndarray = field(repr=False)
     # [[b, a, a], [c, c, b]]: the (u, v) of each term 3·u·v − u − v
     _gather: np.ndarray = field(repr=False)
-    # batch width -> (gather, scatter) indices into the flattened batch
-    _batch_index: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "CostFunction":
@@ -76,24 +76,23 @@ class CostFunction:
         if x.shape != (self.n_vars,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.n_vars},)")
 
-    def _index(self, r: int):
+    def batch_index(self, r: int):
         """Gather and scatter indices for a batch of r rows: row b's entries
         are offset by b·N, so one bincount keeps the rows apart and still adds
-        each row's terms in clause order, a-terms first, as for one point."""
+        each row's terms in clause order, a-terms first, as for one point.
+        Built afresh for r > 1; a caller that steps a batch of r rows many
+        times builds them once and passes them to `cost_and_gradient`."""
         if r == 1:
             return self._gather[:, :, None, :], self._scatter.ravel()
-        index = self._batch_index.get(r)
-        if index is None:
-            offsets = self.n_vars * np.arange(r)[:, None]
-            index = (
-                self._gather[:, :, None, :] + offsets,
-                (self._scatter[:, None, :] + offsets).ravel(),
-            )
-            self._batch_index[r] = index
-        return index
+        offsets = self.n_vars * np.arange(r)[:, None]
+        return (
+            self._gather[:, :, None, :] + offsets,
+            (self._scatter[:, None, :] + offsets).ravel(),
+        )
 
-    def cost_and_gradient(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """F at each row of an (R, N) batch of points, and ∇F there.
+    def cost_and_gradient(self, X, index=None) -> tuple[np.ndarray, np.ndarray]:
+        """F at each row of an (R, N) batch of points, and ∇F there;
+        `index` is `batch_index(R)`, built here when not given.
 
         One C-contiguous gather of the clause columns serves both: with
         (u, v) = (x_b, x_c), (x_a, x_c), (x_a, x_b), the terms of ∂F/∂x_a,
@@ -108,7 +107,7 @@ class CostFunction:
         r, n = X.shape
         if self.instance.n_clauses == 0:  # bincount of no weights is integer
             return np.zeros(r), np.zeros((r, n))
-        gather, scatter = self._index(r)
+        gather, scatter = self.batch_index(r) if index is None else index
         # take gives C order; X[:, cols] would give F order, whose row sums
         # add sequentially instead of pairwise
         pairs = X.take(gather)

@@ -176,7 +176,7 @@ def _sweep_cell(args):
     n_vars, m, inst_seed, config, budget, want_oracle, cap, classify = args
     inst = generate_instance(n_vars, m, inst_seed)
     f = CostFunction.from_instance(inst)
-    outcome = solve_with_restarts(f, config, budget, workers=1)
+    outcome = solve_with_restarts(f, config, budget)
     sat = None
     if want_oracle and n_vars <= cap:
         sat = brute_force_oracle(inst, cap=cap).satisfiable
@@ -297,13 +297,22 @@ def _resolve(fileobj_or_path, mode="w"):
 
 
 def write_trajectory_csv(trajectory: Trajectory, fileobj_or_path) -> None:
-    """Rows `iter,F,x1,...,xN`, one per sampled iteration (1-based index)."""
+    """Rows `iter,F,x1,...,xN`, one per sampled iteration (1-based index).
+
+    Each distinct snapshot value is formatted once (a descent's coordinates
+    repeat heavily once they reach 0 or 1, or stop moving). Values are told
+    apart by their bits, not compared as floats, so −0.0 and 0.0, and
+    NaNs, each keep their own text."""
     fh, owned = _resolve(fileobj_or_path)
     try:
-        n = trajectory.snapshots.shape[1]
+        snaps = np.ascontiguousarray(trajectory.snapshots, dtype=np.float64)
+        n = snaps.shape[1]
+        bits, inverse = np.unique(snaps.view(np.uint64), return_inverse=True)
+        text = np.array([_g17(v) for v in bits.view(np.float64)], dtype=object)
+        cells = text[inverse.reshape(snaps.shape)].tolist()
         fh.write("iter,F," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
-        for it, cost, snap in zip(trajectory.iterations, trajectory.costs, trajectory.snapshots):
-            fh.write(f"{int(it)},{_g17(cost)}," + ",".join(_g17(v) for v in snap) + "\n")
+        for it, cost, row in zip(trajectory.iterations, trajectory.costs, cells):
+            fh.write(f"{int(it)},{_g17(cost)}," + ",".join(row) + "\n")
     finally:
         if owned:
             fh.close()

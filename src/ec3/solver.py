@@ -21,10 +21,11 @@ result is bitwise the same in a batch of any width; a single run
 
 Restarts draw independent start points from per-run seeds derived
 deterministically from the base seed (see derive_run_seed), so a multi-run
-solve is reproducible. With one worker, restarts descend in lockstep batches
-of consecutive run indices; with several, in fixed waves of one-run pool
-tasks. Either way runs are reported up to the smallest successful run index,
-so a solve's outcome is identical for any worker-pool size.
+solve is reproducible. A solve runs in the calling process: its restarts
+descend in lockstep batches of consecutive run indices, each batch after a
+failed one twice as wide as the last, up to a fixed element budget; runs are
+reported up to the smallest successful run index, so a solve's outcome does
+not depend on the batch widths.
 
 Run-count planning uses the geometric-trial picture: if a single run succeeds
 with probability q, the expected number of runs to the first success is
@@ -36,7 +37,6 @@ for a target confidence (k = 11 leaves less than 1%).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +71,7 @@ def mix64(v: int) -> int:
 
 def derive_run_seed(base_seed: int, run_index: int) -> int:
     """Per-run seed: base_seed XOR mix64(run_index). Distinct, reproducible,
-    and independent of how runs are distributed over workers."""
+    and independent of how runs are grouped into batches."""
     return (base_seed ^ mix64(run_index)) & _MASK64
 
 
@@ -238,7 +238,9 @@ def _descend(f: CostFunction, config: SolverConfig, starts: np.ndarray, record: 
         raise ValueError("start point must lie strictly inside the open unit hypercube")
 
     eta = config.eta
-    F, G = f.cost_and_gradient(X)
+    # the kernel's index arrays for the current width, rebuilt as rows leave
+    index = f.batch_index(len(X))
+    F, G = f.cost_and_gradient(X, index)
     certificate = F < 1.0  # the starts themselves are strictly interior
     rows = np.arange(len(X))  # the row of `starts` behind each live row
     results = [None] * len(X)
@@ -254,7 +256,7 @@ def _descend(f: CostFunction, config: SolverConfig, starts: np.ndarray, record: 
         np.minimum(Xn, 1.0, out=Xn)
         delta = np.max(np.abs(Xn - X), axis=1)
         X = Xn
-        F, G = f.cost_and_gradient(X)
+        F, G = f.cost_and_gradient(X, index)
         low = F < 1.0
         if low.any():
             certificate |= low & np.all((X > 0.0) & (X < 1.0), axis=1)
@@ -274,6 +276,8 @@ def _descend(f: CostFunction, config: SolverConfig, starts: np.ndarray, record: 
                 live &= rows < rows[i]
                 break
         X, G, certificate, rows = X[live], G[live], certificate[live], rows[live]
+        if len(rows):
+            index = f.batch_index(len(rows))
     return results, log
 
 
@@ -337,8 +341,13 @@ class SolveOutcome:
 # Up to about this many clause terms and gradient entries in a step (3M + N
 # a row), a step's cost is mostly per-call overhead, so extra rows come
 # nearly free; past it, time grows with the width, and the rows after an
-# early success only add work that is thrown away.
+# early success only add work that is thrown away. The first batch of a
+# solve holds this many.
 _BATCH_ELEMENTS = 1024
+# A restart's success rate is unknown before a solve, so each batch after a
+# failed one is twice as wide (Luby, Sinclair & Zuckerman 1993), up to this
+# many elements a step: 9 rows at (N, M) = (1000, 250).
+_MAX_BATCH_ELEMENTS = 16384
 
 
 def _run_start(f: CostFunction, config: SolverConfig, index: int):
@@ -347,54 +356,38 @@ def _run_start(f: CostFunction, config: SolverConfig, index: int):
     return seed, restart_start(f.n_vars, config.start_radius, np.random.default_rng(seed))
 
 
-def _restart_task(args, record=False):
-    f, config, index = args
-    seed, start = _run_start(f, config, index)
-    return bsgd_run(f, config, start, record=record, run_seed=seed)
-
-
 def solve_with_restarts(
     f: CostFunction, config: SolverConfig, max_runs: int, workers: int = 1
 ) -> SolveOutcome:
     """Up to max_runs independent runs, stopping at the first success.
 
-    With one worker, runs descend in lockstep batches of
-    W = max(1, 1024 // (3M + N)) consecutive run indices (fewer for the
-    last); with more, runs are scheduled in waves of `workers` pool tasks,
-    one run each. Either way the results are truncated at the smallest
-    successful index, so the returned results list — and hence every
-    statistic — is identical for any worker count: runs 0..w for a win at
-    index w, or all max_runs on failure.
+    Runs descend in the calling process, in lockstep batches of consecutive
+    run indices: the first batch is W = max(1, 1024 // (3M + N)) wide, and
+    each batch after a failed one twice as wide as the one before, up to
+    max(1, 16384 // (3M + N)) rows (fewer for the last). The results are
+    truncated at the smallest successful index: runs 0..w for a win at
+    index w, or all max_runs on failure, each bitwise the run it is alone.
+    `workers` is accepted for callers that pass a worker count and changes
+    nothing.
     """
     if max_runs < 1:
         raise ValueError("max_runs must be at least 1")
-    workers = max(1, int(workers))
+    row = 3 * f.instance.n_clauses + f.n_vars
+    width = max(1, _BATCH_ELEMENTS // row)
+    widest = max(1, _MAX_BATCH_ELEMENTS // row)
     results: list[RunResult] = []
     winner_index = None
-
-    def consume(batch_results, batch_start):
-        nonlocal winner_index
-        for offset, res in enumerate(batch_results):
+    base = 0
+    while base < max_runs and winner_index is None:
+        idx = range(base, min(base + width, max_runs))
+        starts = np.array([_run_start(f, config, i)[1] for i in idx])
+        for i, res in zip(idx, _descend(f, config, starts)[0]):
             results.append(res)
             if res.status == SOLVED:
-                winner_index = batch_start + offset
+                winner_index = i
                 break
-
-    if workers == 1:
-        width = max(1, _BATCH_ELEMENTS // (3 * f.instance.n_clauses + f.n_vars))
-        for base in range(0, max_runs, width):
-            idx = range(base, min(base + width, max_runs))
-            starts = np.array([_run_start(f, config, i)[1] for i in idx])
-            consume(_descend(f, config, starts)[0], base)
-            if winner_index is not None:
-                break
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for base in range(0, max_runs, workers):
-                idx = range(base, min(base + workers, max_runs))
-                consume(list(pool.map(_restart_task, [(f, config, i) for i in idx])), base)
-                if winner_index is not None:
-                    break
+        base = idx.stop
+        width = min(2 * width, widest)
 
     stats = RestartStats.from_runs(results)
     winner = results[winner_index] if winner_index is not None else None
@@ -405,7 +398,8 @@ def rerun_with_trajectory(f: CostFunction, config: SolverConfig, run_index: int)
     """Re-execute one restart-run deterministically, recording its
     trajectory (runs are cheap; storing every trajectory of a restart batch
     is not)."""
-    return _restart_task((f, config, run_index), record=True)
+    seed, start = _run_start(f, config, run_index)
+    return bsgd_run(f, config, start, record=True, run_seed=seed)
 
 
 @dataclass(frozen=True)

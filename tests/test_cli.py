@@ -252,7 +252,12 @@ def test_trace_csv_writes_both_files(tmp_path, capsys):
     assert "c traced run: 0" in echoed
 
 
-def test_trace_csv_requires_output(capsys):
+def test_trace_csv_requires_output(capsys, monkeypatch):
+    # the usage error comes before any solving
+    def no_solve(*args, **kwargs):
+        raise AssertionError("trace solved before checking its arguments")
+
+    monkeypatch.setattr("ec3.cli.solve_with_restarts", no_solve)
     assert main(["trace", REF15, "--workers", "1"]) == 2
     assert "needs --output" in capsys.readouterr().err
 

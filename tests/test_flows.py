@@ -14,15 +14,18 @@ from ec3 import (
     bsgd_run,
     classify_flows,
     clause_count_for_ratio,
+    generate_instance,
     initial_slope_check,
     make_instance,
     phase_sweep,
     r_star_estimate,
+    rerun_with_trajectory,
     slope_spectrum,
     write_labels_csv,
     write_sweep_csv,
     write_trajectory_csv,
 )
+from ec3.flows import _g17
 
 T = 100  # snapshot count for the synthetic flows below
 
@@ -270,6 +273,40 @@ def test_trajectory_csv_golden():
         "1,2.5,0.5,0.25\n"
         "2,0.125,0.33333333333333331,1\n"
     )
+
+
+def reference_trajectory_csv(trajectory, fh):
+    """The per-value writer: every snapshot value formatted where it
+    stands. `write_trajectory_csv` must write exactly these bytes."""
+    n = trajectory.snapshots.shape[1]
+    fh.write("iter,F," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
+    for it, cost, snap in zip(trajectory.iterations, trajectory.costs, trajectory.snapshots):
+        fh.write(f"{int(it)},{_g17(cost)}," + ",".join(_g17(v) for v in snap) + "\n")
+
+
+def assert_trajectory_csv_matches_reference(t):
+    got, want = io.StringIO(), io.StringIO()
+    write_trajectory_csv(t, got)
+    reference_trajectory_csv(t, want)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("r", [0.025, 0.25])
+def test_trajectory_csv_matches_reference_at_n1000(r):
+    # the trajectories that `ec3 trace` writes at N = 1000
+    f = CostFunction.from_instance(generate_instance(1000, clause_count_for_ratio(r, 1000), 3))
+    assert_trajectory_csv_matches_reference(rerun_with_trajectory(f, SolverConfig(seed=3), 0).trajectory)
+
+
+def test_trajectory_csv_keeps_signed_zeros_and_nans_apart():
+    # one NaN with a payload; as floats, np.unique would merge -0.0 with
+    # 0.0 and could merge the NaNs
+    payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    snaps = np.array([[0.0, -0.0, np.nan, payload_nan], [np.inf, -np.inf, -0.0, 1.0 / 3.0]])
+    t = Trajectory("e", None, np.array([1, 2], dtype=np.int64), np.array([1.0, -0.0]), snaps, 1)
+    assert_trajectory_csv_matches_reference(t)
+    empty = Trajectory("e", None, np.array([1], dtype=np.int64), np.ones(1), np.zeros((1, 0)), 1)
+    assert_trajectory_csv_matches_reference(empty)
 
 
 def test_labels_csv_golden():

@@ -1,4 +1,5 @@
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +34,7 @@ from ec3 import (
     stopping_rule,
     vertex_point,
 )
+import ec3.solver
 from ec3.solver import _descend, _run_start
 from test_cost import reference_cost, reference_gradient
 
@@ -458,28 +460,60 @@ def test_restarts_exhaust_budget_on_unsat(unsat4_cost):
     assert out.stats.n_s_hat is None and out.stats.sigma_hat is None
 
 
-def test_restarts_identical_for_any_worker_count():
-    # a solver seed whose first success lands at an even run index w >= 2, so
-    # the wave layouts genuinely differ and both parallel layouts truncate:
-    # 1×(0..w), 2×(..|w,w+1→trim), 4×(..|w..→trim)
-    inst = generate_instance(30, 13, 0)
-    f = CostFunction.from_instance(inst)
-    for seed in range(64):
+def batch_widths(monkeypatch):
+    """The widths of the batches that solves descend, as they run."""
+    widths = []
+
+    def spy(f, config, starts, record=False):
+        widths.append(len(starts))
+        return _descend(f, config, starts, record)
+
+    monkeypatch.setattr(ec3.solver, "_descend", spy)
+    return widths
+
+
+def test_restarts_double_the_width_after_each_failed_batch(monkeypatch):
+    # at (1000, 250) the first batch is one row, then 2, then 4: scan solver
+    # seeds for a win in the second batch (index 1..2) and one in the third
+    # (index 3..6)
+    widths = batch_widths(monkeypatch)
+    f = CostFunction.from_instance(generate_instance(1000, 250, 4))
+    found = {}
+    for seed in range(40):
         cfg = SolverConfig(seed=seed)
-        first = solve_with_restarts(f, cfg, max_runs=8, workers=1)
-        if first.solved and first.winner_index >= 2 and first.winner_index % 2 == 0:
+        del widths[:]
+        out = solve_with_restarts(f, cfg, max_runs=7)
+        if out.solved and out.winner_index >= 1 and len(widths) not in found:
+            found[len(widths)] = (cfg, widths[:])
+        if len(found) == 2:
             break
     else:
-        pytest.fail("no solver seed in 0..63 wins at an even run index >= 2")
-    outs = [first] + [solve_with_restarts(f, cfg, max_runs=8, workers=w) for w in (2, 4)]
-    for out in outs[1:]:
-        assert out.winner_index == outs[0].winner_index
-        assert len(out.results) == len(outs[0].results)
-        for a, b in zip(outs[0].results, out.results):
-            assert a.status == b.status
-            assert a.iterations == b.iterations
-            assert np.array_equal(a.final_point, b.final_point)
-            assert np.array_equal(a.rounded, b.rounded)
+        pytest.fail(f"solver seeds 0..39 won in batches {sorted(found)}, not in both 2 and 3")
+    assert found[2][1] == [1, 2] and found[3][1] == [1, 2, 4]
+    for cfg, _ in found.values():
+        assert_solve_matches_reference(f, cfg, 7)
+
+
+@pytest.mark.parametrize("widest, widths", [(16384, [1, 2, 4]), (48, [1, 2, 3, 1])])
+def test_restarts_span_batches_on_unsat(monkeypatch, unsat4_cost, widest, widths):
+    # unsat4 is 16 elements a row: a first batch of one row, then doubling
+    # widths, capped at 3 rows by a budget of 48 elements
+    monkeypatch.setattr(ec3.solver, "_BATCH_ELEMENTS", 16)
+    monkeypatch.setattr(ec3.solver, "_MAX_BATCH_ELEMENTS", widest)
+    seen = batch_widths(monkeypatch)
+    out = assert_solve_matches_reference(unsat4_cost, SolverConfig(seed=2), 7)
+    assert seen == widths
+    assert out.stats.runs_attempted == 7 and not out.solved
+
+
+def test_solve_leaves_cost_function_unchanged():
+    # the kernel's per-width index arrays live in the descent, not on F
+    f = CostFunction.from_instance(generate_instance(100, 40, 1))
+    before = pickle.dumps(f)
+    out = solve_with_restarts(f, SolverConfig(seed=1000), max_runs=10)
+    assert len({r.iterations for r in out.results}) > 1  # the batch narrowed
+    rerun_with_trajectory(f, SolverConfig(seed=1000), 0)
+    assert pickle.dumps(f) == before
 
 
 def test_restarts_rerun_reproduces_winner(ref15_cost):
@@ -520,7 +554,7 @@ def test_engine_matches_reference_at_desk_scale():
 
 @pytest.mark.parametrize("m", [25, 250])
 def test_engine_matches_reference_at_n1000(m):
-    # r = 0.025 and r = 0.25; one row a batch at this size
+    # r = 0.025 and r = 0.25; a batch of one row, then one of the last row
     for s in range(2):
         f = CostFunction.from_instance(generate_instance(1000, m, s))
         assert_solve_matches_reference(f, SolverConfig(seed=1000 + s), 2)
