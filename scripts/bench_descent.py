@@ -2,15 +2,20 @@
 """Descent step cost by batch width, and a replay of batch-width schedules.
 
     python scripts/bench_descent.py --sizes 24:18,100:40,1000:25,1000:250 --widths 1-10
+    python scripts/bench_descent.py --sizes 1000:250 --widths 1,2,4,9
     python scripts/bench_descent.py --replay
 
-Widths: for each size, W runs of one instance descend side by side for a
-fixed number of steps (η is so small that no run stops before the cap), and
-each timing is divided by steps × W; the median and the minimum over --reps
-timings are printed. Width 1 is `bsgd_run`, which every version of the
-package has, so running this from another checkout with --widths 1 gives
-that version's one-run-at-a-time cost; wider batches need the batched
-engine.
+Widths (a comma list of widths and lo-hi ranges): for each size, W runs of
+one instance descend side by side for a fixed number of steps (η is so
+small that no run stops before the cap), and each timing is divided by
+steps × W; the median and the minimum over --reps timings are printed.
+Width 1 is `bsgd_run`, which every version of the package has, so running
+this from another checkout with --widths 1 gives that version's
+one-run-at-a-time cost; wider batches need the batched engine. Each
+repetition also times the same descent recording every row on the default
+schedule (start, first five updates, every 10th, final; wider recording
+batches need an engine that records every row), and the recorded µs per
+run-iteration and its excess over the unrecorded median are printed too.
 
 Replay: the solves of the benchmark's solve-desk and cli-n1000 panels
 (perfbench/workloads.py: slot k is the instance drawn with seed 10000 + k,
@@ -59,41 +64,56 @@ def parse_sizes(text):
 
 
 def parse_widths(text):
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    """Widths from a comma list of values and lo-hi ranges, e.g. 1-4,9."""
+    widths = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        widths += range(int(lo), int(hi or lo) + 1)
+    if not widths or min(widths) < 1:
+        raise ValueError(f"no valid widths in {text!r}")
+    return widths
 
 
-def step_times(n, m, widths, steps, reps):
-    """width -> (median, min) seconds of `steps` lockstep steps of that many
-    runs of one (n, m) instance."""
+def step_times(n, m, widths, steps, reps, modes=(False,)):
+    """(width, record) -> (median, min) seconds of `steps` lockstep steps of
+    that many runs of one (n, m) instance; within each repetition the
+    record modes run one after the other."""
     cfg = SolverConfig(eta=1e-9, max_iters=steps)
     f = CostFunction.from_instance(generate_instance(n, m, 1))
     out = {}
     for width in widths:
         starts = [restart_start(n, cfg.start_radius, np.random.default_rng(i)) for i in range(width)]
-        if width == 1:
-            def step():
-                return [bsgd_run(f, cfg, starts[0])]
-        else:
-            def step():
-                return _descend(f, cfg, np.array(starts))[0]
-        times = []
+
+        def step(record):
+            if width == 1:
+                return [bsgd_run(f, cfg, starts[0], record=record)]
+            return _descend(f, cfg, np.array(starts), [None] * width if record else None)
+
+        times = {record: [] for record in modes}
         for _ in range(reps):
-            t0 = time.perf_counter()
-            results = step()
-            times.append(time.perf_counter() - t0)
-            if any(r is not None and r.iterations != steps for r in results):
-                sys.exit("a run stopped before the step cap; the timing would be wrong")
-        out[width] = (statistics.median(times), min(times))
+            for record in modes:
+                t0 = time.perf_counter()
+                results = step(record)
+                times[record].append(time.perf_counter() - t0)
+                if any(r is not None and r.iterations != steps for r in results):
+                    sys.exit("a run stopped before the step cap; the timing would be wrong")
+        for record in modes:
+            out[width, record] = (statistics.median(times[record]), min(times[record]))
     return out
 
 
 def widths_table(args):
-    print(f"{'N':>6} {'M':>5} {'width':>5} {'us/run-iter':>12} {'min':>8}")
+    print(f"{'N':>6} {'M':>5} {'width':>5} {'us/run-iter':>12} {'min':>8} {'recorded':>9} {'+record':>8}")
+    widths = args.widths
     for n, m in parse_sizes(args.sizes):
-        for width, (med, low) in step_times(n, m, parse_widths(args.widths), args.steps, args.reps).items():
+        timed = step_times(n, m, widths, args.steps, args.reps, modes=(False, True))
+        for width in widths:
             scale = 1e6 / (args.steps * width)
-            print(f"{n:>6} {m:>5} {width:>5} {med * scale:12.2f} {low * scale:8.2f}")
+            (med, low), rec = timed[width, False], timed[width, True][0]
+            print(
+                f"{n:>6} {m:>5} {width:>5} {med * scale:12.2f} {low * scale:8.2f}"
+                f" {rec * scale:9.2f} {(rec - med) * scale:8.2f}"
+            )
 
 
 def panels():
@@ -160,7 +180,7 @@ def replay(args):
     costs = {}
     for n, m in sizes:
         timed = step_times(n, m, range(1, RESTARTS + 1), args.steps, args.reps)
-        costs[(n, m)] = {w: med / args.steps for w, (med, _) in timed.items()}
+        costs[(n, m)] = {w: med / args.steps for (w, _), (med, _) in timed.items()}
         print(f"  ({n}, {m}) us/step: " + " ".join(f"{1e6 * c:.0f}" for c in costs[(n, m)].values()))
     header = f"{'panel':>14} {'solves':>6} {'solved':>6} {'runs':>5} {'one-width s':>11}"
     print(header + "".join(f" {'x' + str(c):>8}" for c in caps))
@@ -184,7 +204,7 @@ def replay(args):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", default="24:18,100:40,1000:25,1000:250", help="comma list of N:M")
-    ap.add_argument("--widths", default="1-10", help="a width or a range lo-hi")
+    ap.add_argument("--widths", type=parse_widths, default="1-10", help="comma list of widths and ranges lo-hi")
     ap.add_argument("--steps", type=int, default=400, help="update steps per timing")
     ap.add_argument("--reps", type=int, default=9, help="timings per (size, width)")
     ap.add_argument("--replay", action="store_true", help="replay the benchmark panels' solves")

@@ -20,7 +20,6 @@ from ec3 import (
     clause_count_for_ratio,
     generate_instance,
     initial_slope_check,
-    rerun_with_trajectory,
     solve_with_restarts,
     write_labels_csv,
     write_trajectory_csv,
@@ -42,12 +41,12 @@ def main():
     f = CostFunction.from_instance(inst)
     cfg = SolverConfig(seed=args.solver_seed)
 
-    out = solve_with_restarts(f, cfg, args.restarts)
+    out = solve_with_restarts(f, cfg, args.restarts, record=True)
     index = out.winner_index if out.solved else 0
     print(f"N={inst.n_vars} M={inst.n_clauses}: "
           f"{'solved on run ' + str(index) if out.solved else 'NOT solved; tracing run 0'}")
 
-    run = rerun_with_trajectory(f, cfg, index)
+    run = out.results[index]
     print(f"traced run: {run.status}, {run.iterations} iterations, "
           f"{len(run.trajectory.iterations)} snapshots")
 

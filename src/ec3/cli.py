@@ -50,10 +50,12 @@ from .flows import (
 )
 from .solver import (
     SolverConfig,
-    rerun_with_trajectory,
     solve_with_restarts,
     stopping_rule,
 )
+# unused here; the benchmark's tracer resolves this name in this module
+# until its targets are refreshed (ROADMAP item 1)
+from .solver import rerun_with_trajectory  # noqa: F401
 
 
 def _g9(x) -> str:
@@ -191,7 +193,7 @@ def cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
     cfg = _solver_config(args)
     f = CostFunction.from_instance(inst)
-    outcome = solve_with_restarts(f, cfg, args.restarts)
+    outcome = solve_with_restarts(f, cfg, args.restarts, record=bool(args.trace))
     stats = outcome.stats
     any_certificate = any(r.certificate for r in outcome.results)
 
@@ -226,9 +228,8 @@ def cmd_solve(args) -> int:
 
     if args.trace:
         index = outcome.winner_index if outcome.solved else 0
-        rerun = rerun_with_trajectory(f, cfg, index)
         with open(args.trace, "w") as fh:
-            write_trajectory_csv(rerun.trajectory, fh)
+            write_trajectory_csv(outcome.results[index].trajectory, fh)
         if not machine:
             _echo(f"trace of run {index}: {args.trace}")
 
@@ -248,6 +249,15 @@ def cmd_solve(args) -> int:
                 "final_cost": w.final_cost if w else None,
                 "vertex_cost": w.vertex_cost if w else None,
                 "certificate": any_certificate,
+                "runs": [
+                    {
+                        "status": r.status,
+                        "iterations": r.iterations,
+                        "vertex_cost": r.vertex_cost,
+                        "certificate": r.certificate,
+                    }
+                    for r in outcome.results
+                ],
                 "stats": {
                     "runs_attempted": stats.runs_attempted,
                     "successes": stats.successes,
@@ -386,16 +396,16 @@ def cmd_trace(args) -> int:
     inst = _read_instance(args.instance)
     cfg = _solver_config(args)
     f = CostFunction.from_instance(inst)
-    outcome = solve_with_restarts(f, cfg, args.restarts)
+    outcome = solve_with_restarts(f, cfg, args.restarts, record=True)
     index = outcome.winner_index if outcome.solved else 0
-    rerun = rerun_with_trajectory(f, cfg, index)
-    labels = classify_flows(rerun.trajectory)
+    run = outcome.results[index]
+    labels = classify_flows(run.trajectory)
 
     machine = args.format == "json" and not args.output
     if not machine:
         _echo(f"instance: {args.instance} n={inst.n_vars} m={inst.n_clauses} r={_g9(inst.ratio)}")
         _echo_solver_config(cfg, args.restarts)
-        _echo(f"traced run: {index} status: {rerun.status} iterations: {rerun.iterations}")
+        _echo(f"traced run: {index} status: {run.status} iterations: {run.iterations}")
         pops = {}
         for lbl in labels:
             pops[lbl] = pops.get(lbl, 0) + 1
@@ -409,16 +419,16 @@ def cmd_trace(args) -> int:
             "config": _config_dict(cfg, args.restarts),
             "run": {
                 "index": index,
-                "status": rerun.status,
-                "iterations": rerun.iterations,
-                "certificate": rerun.certificate,
-                "final_cost": rerun.final_cost,
-                "vertex_cost": rerun.vertex_cost,
+                "status": run.status,
+                "iterations": run.iterations,
+                "certificate": run.certificate,
+                "final_cost": run.final_cost,
+                "vertex_cost": run.vertex_cost,
             },
             "trajectory": {
-                "iterations": [int(i) for i in rerun.trajectory.iterations],
-                "F": list(rerun.trajectory.costs),
-                "snapshots": [list(row) for row in rerun.trajectory.snapshots],
+                "iterations": [int(i) for i in run.trajectory.iterations],
+                "F": list(run.trajectory.costs),
+                "snapshots": [list(row) for row in run.trajectory.snapshots],
             },
             "labels": [
                 {"var": i + 1, "C_k": int(d), "label": str(lbl)}
@@ -430,7 +440,7 @@ def cmd_trace(args) -> int:
         base = args.output[:-4] if args.output.endswith(".csv") else args.output
         labels_path = base + ".labels.csv"
         with open(args.output, "w") as fh:
-            write_trajectory_csv(rerun.trajectory, fh)
+            write_trajectory_csv(run.trajectory, fh)
         with open(labels_path, "w") as fh:
             write_labels_csv(labels, inst.clause_degree, fh)
         if not machine:
@@ -521,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(w, "csv")
     w.set_defaults(func=cmd_sweep)
 
-    t = sub.add_parser("trace", parents=[solver_p, out_p], help="solve, then record and classify the winning run")
+    t = sub.add_parser("trace", parents=[solver_p, out_p], help="solve, recording the winning run, and classify its flows")
     t.add_argument("instance")
     add_format(t, "csv")
     t.set_defaults(func=cmd_trace)

@@ -16,8 +16,10 @@ One descent engine runs every descent: it steps R runs of one instance as
 the rows of an (R × N) array, with one fused F/∇F evaluation per step
 (`CostFunction.cost_and_gradient`), and a row leaves the array when its run
 stops. Each row's arithmetic is that of a run started alone, so a run's
-result is bitwise the same in a batch of any width; a single run
-(`bsgd_run`) is a batch of one, the only width that records a trajectory.
+result, and its trajectory when the batch records, is bitwise the same in a
+batch of any width; a single run (`bsgd_run`) is a batch of one. A recording
+solve keeps the trajectories of its winner and of run 0, each within a fixed
+snapshot budget, so tracing a run needs no second descent.
 
 Restarts draw independent start points from per-run seeds derived
 deterministically from the base seed (see derive_run_seed), so a multi-run
@@ -106,6 +108,9 @@ class Trajectory:
     displacement is snapshot(2) − snapshot(1). The first five updates are
     always recorded at stride 1 (the starting-slope law needs them); later
     iterations are sampled every `stride` steps, plus the final iterate.
+    `stride` starts at `SolverConfig.record_every` and doubles each time the
+    run fills its snapshot budget, so a long run keeps iterations
+    {1, …, 6} ∪ {k + 1 : k mod stride = 0} ∪ {final}.
     """
 
     instance_id: str
@@ -203,35 +208,79 @@ def bsgd_run(
     F < 1, which proves satisfiability by the union bound regardless of
     whether this particular run rounds to a solution.
 
-    This is the descent engine on a batch of one, the only batch shape that
-    records a trajectory.
+    This is the descent engine on a batch of one. With `record`, the result
+    carries the run's Trajectory, thinned to a fixed snapshot budget on long
+    runs (see `_descend`).
     """
     x = np.asarray(start, dtype=np.float64)
     f._check_len(x)
-    (result,), log = _descend(f, config, x[None, :], record)
-    if record:
-        iterations, costs, snapshots = log
-        result.trajectory = Trajectory(
-            instance_id=f.instance.label or f"ec3-n{f.instance.n_vars}-m{f.instance.n_clauses}",
-            run_seed=run_seed,
-            iterations=np.array(iterations, dtype=np.int64),
-            costs=np.array(costs),
-            snapshots=np.array(snapshots),
-            stride=config.record_every,
-        )
+    (result,) = _descend(f, config, x[None, :], [run_seed] if record else None)
     return result
 
 
-def _descend(f: CostFunction, config: SolverConfig, starts: np.ndarray, record: bool = False):
+# A recording row keeps at most this many snapshots. A full log drops every
+# other sample past the stride-1 head and doubles its stride, so a log holds
+# at most _MAX_SNAPSHOTS · N doubles however long its run.
+_MAX_SNAPSHOTS = 1024
+
+
+class _Log:
+    """The sampled iterates X^(k+1) of one row: k ≤ 5, k a multiple of
+    `stride`, and the final k."""
+
+    def __init__(self, stride: int, cost, x):
+        self.stride = stride
+        self.iterations = [1]
+        self.costs = [float(cost)]
+        self.snapshots = [x.copy()]
+
+    def add(self, k: int, cost, x, final: bool = False) -> None:
+        """Record the point after k updates if, once a full log is thinned,
+        k is still on the schedule (a final point always is)."""
+        if len(self.iterations) == _MAX_SNAPSHOTS:
+            self.stride *= 2
+            keep = [
+                p for p, it in enumerate(self.iterations)
+                if it <= 6 or (it - 1) % self.stride == 0
+            ]
+            self.iterations = [self.iterations[p] for p in keep]
+            self.costs = [self.costs[p] for p in keep]
+            self.snapshots = [self.snapshots[p] for p in keep]
+        if final or k <= 5 or k % self.stride == 0:
+            self.iterations.append(k + 1)
+            self.costs.append(float(cost))
+            self.snapshots.append(x.copy())
+
+    def trajectory(self, f: CostFunction, run_seed) -> Trajectory:
+        inst = f.instance
+        return Trajectory(
+            instance_id=inst.label or f"ec3-n{inst.n_vars}-m{inst.n_clauses}",
+            run_seed=run_seed,
+            iterations=np.array(self.iterations, dtype=np.int64),
+            costs=np.array(self.costs),
+            snapshots=np.array(self.snapshots),
+            stride=self.stride,
+        )
+
+
+def _descend(
+    f: CostFunction, config: SolverConfig, starts: np.ndarray, seeds=None, keep_first: bool = True
+):
     """Descend from every row of the (R, N) array `starts` in lockstep.
 
     Each row takes exactly the steps, and gets exactly the result, of a run
     started alone from it; a row leaves the batch when it stops. Rows are
     read as consecutive run indices: when one ends Solved, every live row
     after it is dropped (no run past a success is reported), and the rows
-    before it run on. Returns one RunResult per row, None for a
-    dropped row, and, when `record` (a batch of one), the sampled
-    (iterations, costs, snapshots) of the run.
+    before it run on. Returns one RunResult per row, None for a dropped row.
+
+    With `seeds` (the run seed of each row, or None), every row records
+    the start, the first five updates, every `record_every`-th update and
+    its final iterate, at most `_MAX_SNAPSHOTS` of them (a full log thins
+    to a doubled stride). The results of the smallest Solved row and, with
+    `keep_first`, of row 0 carry their Trajectory; every other row's log is
+    freed as soon as the row finishes unsolved or is dropped. The logs thus
+    hold at most (live rows + 2) · _MAX_SNAPSHOTS · N · 8 bytes.
     """
     X = np.array(starts, dtype=np.float64)
     if not bool(np.all((X > 0.0) & (X < 1.0))):
@@ -244,7 +293,10 @@ def _descend(f: CostFunction, config: SolverConfig, starts: np.ndarray, record: 
     certificate = F < 1.0  # the starts themselves are strictly interior
     rows = np.arange(len(X))  # the row of `starts` behind each live row
     results = [None] * len(X)
-    log = ([1], [float(F[0])], [X[0].copy()]) if record else None
+    logs = None
+    if seeds is not None:
+        logs = [_Log(config.record_every, F[i], X[i]) for i in range(len(X))]
+        stride = config.record_every  # live rows fill and thin together
 
     k = 0
     while len(rows):
@@ -260,32 +312,37 @@ def _descend(f: CostFunction, config: SolverConfig, starts: np.ndarray, record: 
         low = F < 1.0
         if low.any():
             certificate |= low & np.all((X > 0.0) & (X < 1.0), axis=1)
-        if record and (k <= 5 or k % config.record_every == 0):
-            _log_iterate(log, k, F, X)
+        if logs is not None and (k <= 5 or k % stride == 0):
+            for j, r in enumerate(rows):
+                logs[r].add(k, F[j], X[j])
+            stride = logs[rows[0]].stride
         if delta.min() > config.stop_tol and k < config.max_iters:
             continue
         converged = delta <= config.stop_tol
         stopped = converged if k < config.max_iters else np.ones_like(converged)
-        if record and log[0][-1] != k + 1:
-            _log_iterate(log, k, F, X)
         live = ~stopped
         for i in np.flatnonzero(stopped):
-            res = _finish(f, config, X[i], F[i], G[i], k, converged[i], certificate[i])
-            results[rows[i]] = res
+            r = rows[i]
+            res = results[r] = _finish(f, config, X[i], F[i], G[i], k, converged[i], certificate[i])
+            if logs is not None:
+                if res.status == SOLVED or (r == 0 and keep_first):
+                    if logs[r].iterations[-1] != k + 1:
+                        logs[r].add(k, F[i], X[i], final=True)
+                else:
+                    logs[r] = None
             if res.status == SOLVED:
-                live &= rows < rows[i]
+                live &= rows < r
+                if logs is not None:  # no row after a success is reported
+                    logs[r + 1 :] = [None] * (len(logs) - r - 1)
                 break
         X, G, certificate, rows = X[live], G[live], certificate[live], rows[live]
         if len(rows):
             index = f.batch_index(len(rows))
-    return results, log
-
-
-def _log_iterate(log, k, F, X):
-    iterations, costs, snapshots = log
-    iterations.append(k + 1)
-    costs.append(float(F[0]))
-    snapshots.append(X[0].copy())
+    if logs is not None:
+        for r, log in enumerate(logs):
+            if log is not None:
+                results[r].trajectory = log.trajectory(f, seeds[r])
+    return results
 
 
 def _finish(f, config, x, cost_now, grad, k, converged, certificate) -> RunResult:
@@ -357,7 +414,7 @@ def _run_start(f: CostFunction, config: SolverConfig, index: int):
 
 
 def solve_with_restarts(
-    f: CostFunction, config: SolverConfig, max_runs: int, workers: int = 1
+    f: CostFunction, config: SolverConfig, max_runs: int, workers: int = 1, record: bool = False
 ) -> SolveOutcome:
     """Up to max_runs independent runs, stopping at the first success.
 
@@ -369,6 +426,11 @@ def solve_with_restarts(
     index w, or all max_runs on failure, each bitwise the run it is alone.
     `workers` is accepted for callers that pass a worker count and changes
     nothing.
+
+    With `record`, every batch records as it descends (see `_descend`), and
+    the winner and results[0], the run traced when none solves, carry their
+    Trajectory, bitwise what `rerun_with_trajectory` records for that run;
+    the other runs carry none.
     """
     if max_runs < 1:
         raise ValueError("max_runs must be at least 1")
@@ -380,8 +442,9 @@ def solve_with_restarts(
     base = 0
     while base < max_runs and winner_index is None:
         idx = range(base, min(base + width, max_runs))
-        starts = np.array([_run_start(f, config, i)[1] for i in idx])
-        for i, res in zip(idx, _descend(f, config, starts)[0]):
+        seeds, starts = zip(*(_run_start(f, config, i) for i in idx))
+        batch = _descend(f, config, np.array(starts), seeds if record else None, base == 0)
+        for i, res in zip(idx, batch):
             results.append(res)
             if res.status == SOLVED:
                 winner_index = i
@@ -395,9 +458,11 @@ def solve_with_restarts(
 
 
 def rerun_with_trajectory(f: CostFunction, config: SolverConfig, run_index: int) -> RunResult:
-    """Re-execute one restart-run deterministically, recording its
-    trajectory (runs are cheap; storing every trajectory of a restart batch
-    is not)."""
+    """Re-execute restart `run_index` deterministically, recording its
+    trajectory. A solve with `record=True` already carries the trajectories
+    of its winner and of run 0; this replays any run, bitwise as it ran."""
+    if run_index < 0:
+        raise ValueError("run_index must be nonnegative")
     seed, start = _run_start(f, config, run_index)
     return bsgd_run(f, config, start, record=True, run_seed=seed)
 

@@ -82,6 +82,16 @@ def test_solve_machine_json(capsys):
     assert check_assignment(inst, z).satisfied
     assert doc["config"]["restarts"] == 10
     assert "workers" not in doc["config"]  # not part of reproducibility
+    # one entry per reported restart, the winner last
+    runs = doc["result"]["runs"]
+    assert len(runs) == doc["result"]["stats"]["runs_attempted"]
+    assert runs[-1] == {
+        "status": "Solved",
+        "iterations": doc["result"]["iterations"],
+        "vertex_cost": 0.0,
+        "certificate": runs[-1]["certificate"],
+    }
+    assert all(set(r) == {"status", "iterations", "vertex_cost", "certificate"} for r in runs)
     assert "0.0050000000000000001" in out  # eta at 17 significant digits
 
 
@@ -111,6 +121,11 @@ def test_solve_failure_reports_stopping_rule(tmp_path, capsys):
     assert doc["result"]["status"] is None
     assert doc["result"]["stats"]["runs_attempted"] == 3
     assert doc["result"]["stats"]["n_s_hat"] is None
+    runs = doc["result"]["runs"]
+    assert len(runs) == 3
+    for run in runs:
+        assert run["status"] != "Solved" and run["vertex_cost"] >= 1.0
+        assert run["certificate"] is False and run["iterations"] >= 1
 
 
 def test_solve_trace_writes_trajectory(tmp_path, capsys):
@@ -234,6 +249,12 @@ def test_sweep_bad_grid(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sweep_zero_step_is_usage_error(capsys):
+    rc = main(["sweep", "-n", "12", "--r-from", "0.25", "--r-to", "0.5", "--step", "0", "--workers", "1"])
+    assert rc == 2
+    assert "step must be positive" in capsys.readouterr().err
+
+
 # --- trace --------------------------------------------------------------------
 
 
@@ -273,6 +294,20 @@ def test_trace_json(capsys):
     n_snap = len(doc["trajectory"]["iterations"])
     assert len(doc["trajectory"]["F"]) == n_snap
     assert all(len(s) == 15 for s in doc["trajectory"]["snapshots"])
+
+
+def test_traces_come_from_the_solve(tmp_path, monkeypatch):
+    # trace and solve --trace record during the solve: no run descends twice
+    def no_rerun(*args, **kwargs):
+        raise AssertionError("a traced run was descended a second time")
+
+    monkeypatch.setattr("ec3.cli.rerun_with_trajectory", no_rerun)
+    monkeypatch.setattr("ec3.solver.rerun_with_trajectory", no_rerun)
+    monkeypatch.setattr("ec3.solver.bsgd_run", no_rerun)
+    for path, rc in ((REF15, 0), (UNSAT4, 1)):
+        out = tmp_path / "t.csv"
+        assert main(["trace", path, "--workers", "1", "--restarts", "3", "-o", str(out)]) == rc
+        assert main(["solve", path, "--restarts", "3", "--trace", str(out), "-o", str(tmp_path / "s.json")]) == rc
 
 
 def test_trace_unsolved_falls_back_to_run_zero(tmp_path, capsys):

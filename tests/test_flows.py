@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,16 @@ from ec3 import (
     bsgd_run,
     classify_flows,
     clause_count_for_ratio,
+    derive_run_seed,
     generate_instance,
     initial_slope_check,
     make_instance,
+    mix64,
     phase_sweep,
     r_star_estimate,
     rerun_with_trajectory,
     slope_spectrum,
+    solve_with_restarts,
     write_labels_csv,
     write_sweep_csv,
     write_trajectory_csv,
@@ -220,6 +224,37 @@ def test_phase_sweep_worker_invariance():
     assert sa.getvalue() == sb.getvalue()
     for ra, rb in zip(a.rows, b.rows):
         assert ra.flow_counts == rb.flow_counts
+
+
+def reference_flow_counts(n_vars, r_grid, instances_per_r, config, run_budget, base_seed):
+    """Per-ratio flow-family counts the way sweeps once made them: solve
+    each cell without recording, then descend the winner again with
+    `rerun_with_trajectory` and classify that."""
+    rows = []
+    for i, r in enumerate(r_grid):
+        counts = {}
+        for j in range(instances_per_r):
+            inst_seed = derive_run_seed(base_seed, (i << 32) | j)
+            cfg = replace(config, seed=mix64(inst_seed))
+            f = CostFunction.from_instance(
+                generate_instance(n_vars, clause_count_for_ratio(r, n_vars), inst_seed)
+            )
+            out = solve_with_restarts(f, cfg, run_budget)
+            if out.solved:
+                rerun = rerun_with_trajectory(f, cfg, out.winner_index)
+                for lbl in classify_flows(rerun.trajectory):
+                    counts[lbl] = counts.get(lbl, 0) + 1
+        rows.append(counts)
+    return rows
+
+
+@pytest.mark.parametrize("n_vars, grid", [(24, [0.3, 0.5, 0.7, 0.9]), (100, [0.2, 0.4])])
+def test_phase_sweep_flow_counts_match_rerun(n_vars, grid):
+    cfg = SolverConfig(record_every=3)
+    rep = phase_sweep(n_vars, grid, 6, cfg, run_budget=4, base_seed=11, use_oracle=False)
+    want = reference_flow_counts(n_vars, grid, 6, cfg, 4, 11)
+    assert [row.flow_counts for row in rep.rows] == want
+    assert any(want)  # some cell solved and was classified
 
 
 def test_phase_sweep_grid_validation():

@@ -155,6 +155,24 @@ def assert_solve_matches_reference(f, config, max_runs):
     return out
 
 
+def assert_recorded_solve_matches_rerun(f, config, max_runs):
+    """A recording solve reports the runs of a plain one; its winner and run
+    0 carry bitwise the trajectory a rerun records, and no other run has
+    one."""
+    plain = solve_with_restarts(f, config, max_runs)
+    out = solve_with_restarts(f, config, max_runs, record=True)
+    assert out.winner_index == plain.winner_index
+    assert len(out.results) == len(plain.results)
+    traced = {0, out.winner_index} - {None}
+    for i, (got, want) in enumerate(zip(out.results, plain.results)):
+        if i in traced:
+            assert got.trajectory is not None
+            assert_same_run(got, rerun_with_trajectory(f, config, i))
+            got = replace(got, trajectory=None)
+        assert_same_run(got, want)
+    return out
+
+
 # --- seed derivation ----------------------------------------------------------
 
 
@@ -438,6 +456,51 @@ def test_trajectory_costs_match_cost_function(ref15_cost):
         assert t.costs[i] == ref15_cost.cost(t.snapshots[i])
 
 
+def assert_thinned_from(t, reference, iterations, budget):
+    """`t` is a stride-1 run of `iterations` updates thinned to `budget`:
+    the stride-1 head, the multiples of its stride, and the final
+    iterate, each bitwise the reference's snapshot there."""
+    s = t.stride
+    kept = sorted({1, 2, 3, 4, 5, 6, iterations + 1} | {k + 1 for k in range(s, iterations + 1, s)})
+    kept = [it for it in kept if it <= iterations + 1]
+    assert len(t.iterations) <= budget
+    assert t.iterations.tolist() == kept
+    assert s & (s - 1) == 0  # 1 doubled j times
+    for it, cost, snap in zip(t.iterations, t.costs, t.snapshots):
+        assert snap.tobytes() == reference.snapshot_at(int(it)).tobytes()
+        assert _bits(cost) == _bits(reference.costs[int(it) - 1])
+
+
+def test_trajectory_budget_thins_long_runs(ref15_cost):
+    # a capped stride-1 run three times longer than the snapshot budget
+    budget = ec3.solver._MAX_SNAPSHOTS
+    cfg = SolverConfig(eta=1e-7, max_iters=3 * budget + 17, record_every=1)
+    start = _run_start(ref15_cost, cfg, 0)[1]
+    reference = reference_run(ref15_cost, cfg, start, record=True).trajectory
+    run = bsgd_run(ref15_cost, cfg, start, record=True)
+    assert run.status == ITERATION_CAP
+    assert run.trajectory.stride == 4
+    assert run.trajectory.iterations[:6].tolist() == [1, 2, 3, 4, 5, 6]
+    assert run.trajectory.iterations[-1] == cfg.max_iters + 1
+    assert_thinned_from(run.trajectory, reference, cfg.max_iters, budget)
+    # the rows of a recording solve thin alike
+    out = solve_with_restarts(ref15_cost, cfg, max_runs=3, record=True)
+    assert_same_run(out.results[0], rerun_with_trajectory(ref15_cost, cfg, 0))
+    assert [r.trajectory is None for r in out.results] == [False, True, True]
+
+
+def test_trajectory_budget_at_every_run_length(monkeypatch, ref15_cost):
+    # with a budget of 16, every cap from 1 to 120 updates: logs that fill
+    # on a sampled step and on the final one
+    monkeypatch.setattr(ec3.solver, "_MAX_SNAPSHOTS", 16)
+    longest = SolverConfig(eta=1e-7, max_iters=120, record_every=1)
+    start = _run_start(ref15_cost, longest, 0)[1]
+    reference = reference_run(ref15_cost, longest, start, record=True).trajectory
+    for cap in range(1, 121):
+        cfg = replace(longest, max_iters=cap)
+        assert_thinned_from(bsgd_run(ref15_cost, cfg, start, record=True).trajectory, reference, cap, 16)
+
+
 # --- restarts -----------------------------------------------------------------
 
 
@@ -464,9 +527,9 @@ def batch_widths(monkeypatch):
     """The widths of the batches that solves descend, as they run."""
     widths = []
 
-    def spy(f, config, starts, record=False):
+    def spy(f, config, starts, *args):
         widths.append(len(starts))
-        return _descend(f, config, starts, record)
+        return _descend(f, config, starts, *args)
 
     monkeypatch.setattr(ec3.solver, "_descend", spy)
     return widths
@@ -492,6 +555,7 @@ def test_restarts_double_the_width_after_each_failed_batch(monkeypatch):
     assert found[2][1] == [1, 2] and found[3][1] == [1, 2, 4]
     for cfg, _ in found.values():
         assert_solve_matches_reference(f, cfg, 7)
+        assert assert_recorded_solve_matches_rerun(f, cfg, 7).winner_index >= 1
 
 
 @pytest.mark.parametrize("widest, widths", [(16384, [1, 2, 4]), (48, [1, 2, 3, 1])])
@@ -504,6 +568,8 @@ def test_restarts_span_batches_on_unsat(monkeypatch, unsat4_cost, widest, widths
     out = assert_solve_matches_reference(unsat4_cost, SolverConfig(seed=2), 7)
     assert seen == widths
     assert out.stats.runs_attempted == 7 and not out.solved
+    # unsolved: run 0 is the traced run, and later batches keep no trajectory
+    assert_recorded_solve_matches_rerun(unsat4_cost, SolverConfig(seed=2), 7)
 
 
 def test_solve_leaves_cost_function_unchanged():
@@ -529,6 +595,11 @@ def test_restarts_rerun_reproduces_winner(ref15_cost):
 def test_restarts_budget_validation(ref15_cost):
     with pytest.raises(ValueError):
         solve_with_restarts(ref15_cost, SolverConfig(), max_runs=0)
+
+
+def test_rerun_rejects_negative_run_index(ref15_cost):
+    with pytest.raises(ValueError, match="run_index"):
+        rerun_with_trajectory(ref15_cost, SolverConfig(), -1)
 
 
 # --- the batched engine against the reference, bit for bit --------------------
@@ -602,7 +673,7 @@ def test_engine_batch_whose_winner_is_not_row_zero():
     for seed in range(64):
         cfg = SolverConfig(seed=seed)
         starts = np.array([_run_start(f, cfg, i)[1] for i in range(8)])
-        results, _ = _descend(f, cfg, starts)
+        results = _descend(f, cfg, starts)
         solved = [i for i, r in enumerate(results) if r is not None and r.status == SOLVED]
         if len(solved) >= 2 and solved[0] > 0 and None in results:
             break
@@ -614,6 +685,7 @@ def test_engine_batch_whose_winner_is_not_row_zero():
         assert_same_run(got, ref)
     out = assert_solve_matches_reference(f, cfg, 8)
     assert out.winner_index == winner
+    assert_recorded_solve_matches_rerun(f, cfg, 8)
 
 
 # --- restart statistics -------------------------------------------------------
