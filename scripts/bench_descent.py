@@ -87,7 +87,7 @@ def step_times(n, m, widths, steps, reps, modes=(False,)):
         def step(record):
             if width == 1:
                 return [bsgd_run(f, cfg, starts[0], record=record)]
-            return _descend(f, cfg, np.array(starts), [None] * width if record else None)
+            return _descend(f, cfg, np.array(starts), record)
 
         times = {record: [] for record in modes}
         for _ in range(reps):
@@ -136,7 +136,7 @@ def run_outcomes(n, m, seed):
     cfg = SolverConfig(seed=seed)
     out = []
     for i in range(RESTARTS):
-        res = bsgd_run(f, cfg, _run_start(f, cfg, i)[1])
+        res = bsgd_run(f, cfg, _run_start(f, cfg, i))
         out.append((res.iterations, res.status == SOLVED))
     return out
 

@@ -11,11 +11,11 @@ Exit codes: 0 = solved / SAT / report written, 1 = not solved within the
 run budget or UNSAT, 2 = usage or input error.
 
 The --workers flag sets how many processes a sweep spreads its cells
-over; solve and trace run in one process and ignore it. A sweep's results
-are contractually identical for every worker count (each cell is seeded
-from its grid position alone), so the worker count is not part of the
-reproducibility header. A sweep's header carries no solver seed: each cell
-derives its own from the instance seed.
+over (at most one per cell); solve and trace run in one process and
+ignore it. A sweep's results are contractually identical for every worker
+count (each cell is seeded from its grid position alone), so the worker
+count is not part of the reproducibility header. A sweep's header carries
+no solver seed: each cell derives its own from the instance seed.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .instance import (
 from .flows import (
     _g17,
     classify_flows,
+    initial_slope_check,
     phase_sweep,
     r_star_estimate,
     write_labels_csv,
@@ -227,7 +228,7 @@ def cmd_solve(args) -> int:
                 print("certificate: an interior iterate had F < 1 — the instance is satisfiable")
 
     if args.trace:
-        index = outcome.winner_index if outcome.solved else 0
+        index = outcome.traced_index
         with open(args.trace, "w") as fh:
             write_trajectory_csv(outcome.results[index].trajectory, fh)
         if not machine:
@@ -322,7 +323,15 @@ def _ratio_grid(r_from: float, r_to: float, step: float):
         raise ValueError("step must be positive")
     if r_to < r_from:
         raise ValueError("empty ratio grid (r-to below r-from)")
-    count = math.floor((r_to - r_from) / step + 0.5) + 1
+    # the grid rises, so its end points bound it: reject a ratio outside
+    # (0, 1] before a list of any length is built
+    ends = (r_from, r_to)
+    if math.isfinite(r_to - r_from):
+        count = math.floor((r_to - r_from) / step + 0.5) + 1
+        ends = (r_from, round(r_from + (count - 1) * step, 10))
+    for r in ends:
+        if not 0.0 < r <= 1.0:
+            raise ValueError(f"ratio r={r} outside (0, 1]")
     return [round(r_from + i * step, 10) for i in range(count)]
 
 
@@ -339,6 +348,7 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
         use_oracle=args.oracle,
         oracle_cap=args.cap,
+        classify=args.format == "json",  # the CSV has no flow column
     )
     machine = args.format == "json" and not args.output
     if not machine:
@@ -397,15 +407,20 @@ def cmd_trace(args) -> int:
     cfg = _solver_config(args)
     f = CostFunction.from_instance(inst)
     outcome = solve_with_restarts(f, cfg, args.restarts, record=True)
-    index = outcome.winner_index if outcome.solved else 0
+    index = outcome.traced_index
     run = outcome.results[index]
     labels = classify_flows(run.trajectory)
+    slope_law_ok = int(initial_slope_check(run.trajectory, cfg.eta, inst.clause_degree).ok.sum())
 
     machine = args.format == "json" and not args.output
     if not machine:
         _echo(f"instance: {args.instance} n={inst.n_vars} m={inst.n_clauses} r={_g9(inst.ratio)}")
         _echo_solver_config(cfg, args.restarts)
         _echo(f"traced run: {index} status: {run.status} iterations: {run.iterations}")
+        _echo(
+            f"starting-slope law: {slope_law_ok}/{inst.n_vars} variables "
+            "within 0.1*eta of eta*C_k/4"
+        )
         pops = {}
         for lbl in labels:
             pops[lbl] = pops.get(lbl, 0) + 1
@@ -424,6 +439,7 @@ def cmd_trace(args) -> int:
                 "certificate": run.certificate,
                 "final_cost": run.final_cost,
                 "vertex_cost": run.vertex_cost,
+                "slope_law_ok": slope_law_ok,
             },
             "trajectory": {
                 "iterations": [int(i) for i in run.trajectory.iterations],
@@ -495,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("-n", "--n-vars", type=int, required=True)
     g.add_argument("-m", "--n-clauses", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
-    add_format(g, "csv")
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", parents=[solver_p, out_p], help="multi-restart descent")
@@ -531,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(w, "csv")
     w.set_defaults(func=cmd_sweep)
 
-    t = sub.add_parser("trace", parents=[solver_p, out_p], help="solve, recording the winning run, and classify its flows")
+    t = sub.add_parser("trace", parents=[solver_p, out_p], help="solve, recording the winning run; classify its flows and check the starting-slope law")
     t.add_argument("instance")
     add_format(t, "csv")
     t.set_defaults(func=cmd_trace)

@@ -209,8 +209,9 @@ def phase_sweep(
     that, so every cell is reproducible in isolation and the report is
     bitwise identical for any worker count. Records the solver success
     fraction under the run budget, exact satisfiability when N is within the
-    oracle cap, mean runs-to-success among solved cells, and the flow-family
-    populations of the winning runs.
+    oracle cap, mean runs-to-success among solved cells, and, with
+    `classify`, the flow-family populations of the winning runs. The cells
+    spread over min(workers, cells) processes; one runs them in this one.
     """
     if instances_per_r < 1:
         raise ValueError("instances_per_r must be at least 1")
@@ -239,6 +240,9 @@ def phase_sweep(
                 (n_vars, m, inst_seed, cell_cfg, run_budget, use_oracle, oracle_cap, classify)
             )
 
+    # a fork-started pool forks all its workers at the first submit, so
+    # never ask for more than there are cells
+    workers = min(workers, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_cell, cells, chunksize=4))

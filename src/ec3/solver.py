@@ -113,8 +113,6 @@ class Trajectory:
     {1, …, 6} ∪ {k + 1 : k mod stride = 0} ∪ {final}.
     """
 
-    instance_id: str
-    run_seed: int | None
     iterations: np.ndarray  # (T,), strictly increasing, starts at 1
     costs: np.ndarray       # (T,), F at each snapshot
     snapshots: np.ndarray   # (T, N)
@@ -192,7 +190,6 @@ def bsgd_run(
     config: SolverConfig,
     start: np.ndarray,
     record: bool = False,
-    run_seed: int | None = None,
 ) -> RunResult:
     """One projected-gradient descent run from a given interior start point.
 
@@ -210,11 +207,12 @@ def bsgd_run(
 
     This is the descent engine on a batch of one. With `record`, the result
     carries the run's Trajectory, thinned to a fixed snapshot budget on long
-    runs (see `_descend`).
+    runs (see `_descend`); `rerun_with_trajectory` records a restart by its
+    index.
     """
     x = np.asarray(start, dtype=np.float64)
     f._check_len(x)
-    (result,) = _descend(f, config, x[None, :], [run_seed] if record else None)
+    (result,) = _descend(f, config, x[None, :], record)
     return result
 
 
@@ -251,11 +249,8 @@ class _Log:
             self.costs.append(float(cost))
             self.snapshots.append(x.copy())
 
-    def trajectory(self, f: CostFunction, run_seed) -> Trajectory:
-        inst = f.instance
+    def trajectory(self) -> Trajectory:
         return Trajectory(
-            instance_id=inst.label or f"ec3-n{inst.n_vars}-m{inst.n_clauses}",
-            run_seed=run_seed,
             iterations=np.array(self.iterations, dtype=np.int64),
             costs=np.array(self.costs),
             snapshots=np.array(self.snapshots),
@@ -264,7 +259,11 @@ class _Log:
 
 
 def _descend(
-    f: CostFunction, config: SolverConfig, starts: np.ndarray, seeds=None, keep_first: bool = True
+    f: CostFunction,
+    config: SolverConfig,
+    starts: np.ndarray,
+    record: bool = False,
+    keep_first: bool = True,
 ):
     """Descend from every row of the (R, N) array `starts` in lockstep.
 
@@ -274,13 +273,14 @@ def _descend(
     after it is dropped (no run past a success is reported), and the rows
     before it run on. Returns one RunResult per row, None for a dropped row.
 
-    With `seeds` (the run seed of each row, or None), every row records
-    the start, the first five updates, every `record_every`-th update and
-    its final iterate, at most `_MAX_SNAPSHOTS` of them (a full log thins
-    to a doubled stride). The results of the smallest Solved row and, with
-    `keep_first`, of row 0 carry their Trajectory; every other row's log is
-    freed as soon as the row finishes unsolved or is dropped. The logs thus
-    hold at most (live rows + 2) · _MAX_SNAPSHOTS · N · 8 bytes.
+    With `record`, every row records the start, the first five updates,
+    every `record_every`-th update and its final iterate, at most
+    `_MAX_SNAPSHOTS` of them (a full log thins to a doubled stride). The
+    results of the smallest Solved row and, with `keep_first` (a solve's
+    first batch, whose row 0 is traced when no run solves), of row 0 carry
+    their Trajectory; every other row's log is freed as soon as the row
+    finishes unsolved or is dropped. The logs thus hold at most
+    (live rows + 2) · _MAX_SNAPSHOTS · N · 8 bytes.
     """
     X = np.array(starts, dtype=np.float64)
     if not bool(np.all((X > 0.0) & (X < 1.0))):
@@ -294,7 +294,7 @@ def _descend(
     rows = np.arange(len(X))  # the row of `starts` behind each live row
     results = [None] * len(X)
     logs = None
-    if seeds is not None:
+    if record:
         logs = [_Log(config.record_every, F[i], X[i]) for i in range(len(X))]
         stride = config.record_every  # live rows fill and thin together
 
@@ -341,7 +341,7 @@ def _descend(
     if logs is not None:
         for r, log in enumerate(logs):
             if log is not None:
-                results[r].trajectory = log.trajectory(f, seeds[r])
+                results[r].trajectory = log.trajectory()
     return results
 
 
@@ -394,6 +394,11 @@ class SolveOutcome:
     results: list
     stats: RestartStats
 
+    @property
+    def traced_index(self) -> int:
+        """The run a recording solve traces: the winner, else run 0."""
+        return self.winner_index if self.solved else 0
+
 
 # Up to about this many clause terms and gradient entries in a step (3M + N
 # a row), a step's cost is mostly per-call overhead, so extra rows come
@@ -407,10 +412,10 @@ _BATCH_ELEMENTS = 1024
 _MAX_BATCH_ELEMENTS = 16384
 
 
-def _run_start(f: CostFunction, config: SolverConfig, index: int):
-    """(run seed, start point) of restart `index`."""
-    seed = derive_run_seed(config.seed, index)
-    return seed, restart_start(f.n_vars, config.start_radius, np.random.default_rng(seed))
+def _run_start(f: CostFunction, config: SolverConfig, index: int) -> np.ndarray:
+    """The start point of restart `index`."""
+    rng = np.random.default_rng(derive_run_seed(config.seed, index))
+    return restart_start(f.n_vars, config.start_radius, rng)
 
 
 def solve_with_restarts(
@@ -428,9 +433,9 @@ def solve_with_restarts(
     nothing.
 
     With `record`, every batch records as it descends (see `_descend`), and
-    the winner and results[0], the run traced when none solves, carry their
-    Trajectory, bitwise what `rerun_with_trajectory` records for that run;
-    the other runs carry none.
+    the winner and results[0] carry their Trajectory, bitwise what
+    `rerun_with_trajectory` records for that run; the other runs carry none.
+    `traced_index` names the one a trace reports.
     """
     if max_runs < 1:
         raise ValueError("max_runs must be at least 1")
@@ -442,8 +447,8 @@ def solve_with_restarts(
     base = 0
     while base < max_runs and winner_index is None:
         idx = range(base, min(base + width, max_runs))
-        seeds, starts = zip(*(_run_start(f, config, i) for i in idx))
-        batch = _descend(f, config, np.array(starts), seeds if record else None, base == 0)
+        starts = np.array([_run_start(f, config, i) for i in idx])
+        batch = _descend(f, config, starts, record, base == 0)
         for i, res in zip(idx, batch):
             results.append(res)
             if res.status == SOLVED:
@@ -463,8 +468,7 @@ def rerun_with_trajectory(f: CostFunction, config: SolverConfig, run_index: int)
     of its winner and of run 0; this replays any run, bitwise as it ran."""
     if run_index < 0:
         raise ValueError("run_index must be nonnegative")
-    seed, start = _run_start(f, config, run_index)
-    return bsgd_run(f, config, start, record=True, run_seed=seed)
+    return bsgd_run(f, config, _run_start(f, config, run_index), record=True)
 
 
 @dataclass(frozen=True)

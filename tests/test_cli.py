@@ -4,8 +4,20 @@ import pathlib
 import numpy as np
 import pytest
 
-from ec3 import check_assignment, make_instance, parse_instance
-from ec3.cli import dumps17, main
+import ec3.flows
+from ec3 import (
+    CostFunction,
+    SolverConfig,
+    check_assignment,
+    classify_flows,
+    make_instance,
+    parse_instance,
+    phase_sweep,
+    solve_with_restarts,
+    write_labels_csv,
+    write_trajectory_csv,
+)
+from ec3.cli import _ratio_grid, dumps17, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 REF15 = str(DATA / "ref15.ec3")
@@ -61,6 +73,12 @@ def test_generate_infeasible_is_usage_error(capsys):
     rc = main(["generate", "-n", "4", "-m", "100"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_generate_has_no_format_option(capsys):
+    # an instance file has one format; the option would change nothing
+    assert main(["generate", "-n", "10", "-m", "4", "--format", "json"]) == 2
+    assert "--format" in capsys.readouterr().err
 
 
 # --- solve --------------------------------------------------------------------
@@ -255,6 +273,47 @@ def test_sweep_zero_step_is_usage_error(capsys):
     assert "step must be positive" in capsys.readouterr().err
 
 
+def test_sweep_ratios_are_checked_before_the_grid_is_built(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep started on an out-of-range grid")
+
+    monkeypatch.setattr("ec3.cli.phase_sweep", no_sweep)
+    cases = (("0.5", "1.5", "1.5"), ("0", "0.5", "0.0"), ("-0.25", "0.5", "-0.25"), ("0.5", "inf", "inf"))
+    for r_from, r_to, bad in cases:
+        rc = main(["sweep", "-n", "12", "--r-from", r_from, "--r-to", r_to, "--step", "0.5", "--workers", "1"])
+        assert rc == 2
+        assert f"ratio r={bad} outside (0, 1]" in capsys.readouterr().err
+    # the grid's rounded end point, not --r-to, is what must lie in (0, 1]
+    assert _ratio_grid(0.5, 1.01, 0.1) == [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+
+
+def classify_calls(monkeypatch):
+    """The trajectories `phase_sweep` classifies, as it runs."""
+    calls = []
+
+    def spy(trajectory, *args):
+        calls.append(trajectory)
+        return classify_flows(trajectory, *args)
+
+    monkeypatch.setattr(ec3.flows, "classify_flows", spy)
+    return calls
+
+
+def test_csv_sweep_classifies_no_flows(tmp_path, monkeypatch):
+    calls = classify_calls(monkeypatch)
+    assert main(SWEEP_ARGS + ["-o", str(tmp_path / "sweep.csv")]) == 0
+    assert calls == []
+
+
+def test_json_sweep_flow_counts(capsys, monkeypatch):
+    calls = classify_calls(monkeypatch)
+    assert main(SWEEP_ARGS + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert calls  # some cell solved, and its winner was classified
+    want = phase_sweep(12, [0.25, 0.5], 2, SolverConfig(), 2, 5, classify=True)
+    assert [row["flow_counts"] for row in doc["rows"]] == [row.flow_counts for row in want.rows]
+
+
 # --- trace --------------------------------------------------------------------
 
 
@@ -271,6 +330,7 @@ def test_trace_csv_writes_both_files(tmp_path, capsys):
     echoed = capsys.readouterr().out
     assert "flow families:" in echoed
     assert "c traced run: 0" in echoed
+    assert "c starting-slope law: " in echoed
 
 
 def test_trace_csv_requires_output(capsys, monkeypatch):
@@ -294,6 +354,30 @@ def test_trace_json(capsys):
     n_snap = len(doc["trajectory"]["iterations"])
     assert len(doc["trajectory"]["F"]) == n_snap
     assert all(len(s) == 15 for s in doc["trajectory"]["snapshots"])
+    assert 0 <= doc["run"]["slope_law_ok"] <= 15
+
+
+def test_trace_of_the_flow_gallery_instance(tmp_path, capsys):
+    # N = 1000, M = 25: the instance the flow families and the starting-slope
+    # law are studied on; `ec3 trace` writes what the library path writes
+    inst = tmp_path / "g.ec3"
+    assert main(["generate", "-n", "1000", "-m", "25", "--seed", "7", "-o", str(inst)]) == 0
+    out = tmp_path / "flows.csv"
+    assert main(["trace", str(inst), "--seed", "11", "--workers", "1", "-o", str(out)]) == 0
+    echoed = capsys.readouterr().out
+    assert "c starting-slope law: 1000/1000 variables within 0.1*eta of eta*C_k/4" in echoed
+
+    instance = parse_instance(inst.read_text())
+    outcome = solve_with_restarts(CostFunction.from_instance(instance), SolverConfig(seed=11), 10, record=True)
+    trajectory = outcome.results[outcome.traced_index].trajectory
+    want_csv, want_labels = tmp_path / "want.csv", tmp_path / "want.labels.csv"
+    write_trajectory_csv(trajectory, str(want_csv))
+    write_labels_csv(classify_flows(trajectory), instance.clause_degree, str(want_labels))
+    assert out.read_bytes() == want_csv.read_bytes()
+    assert (tmp_path / "flows.labels.csv").read_bytes() == want_labels.read_bytes()
+
+    assert main(["trace", str(inst), "--seed", "11", "--workers", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["run"]["slope_law_ok"] == 1000
 
 
 def test_traces_come_from_the_solve(tmp_path, monkeypatch):

@@ -29,6 +29,7 @@ from ec3 import (
     write_sweep_csv,
     write_trajectory_csv,
 )
+import ec3.flows
 from ec3.flows import _g17
 
 T = 100  # snapshot count for the synthetic flows below
@@ -39,8 +40,6 @@ def synth(columns, stride=10):
     s = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     t = s.shape[0]
     return Trajectory(
-        instance_id="synthetic",
-        run_seed=None,
         iterations=np.arange(1, t + 1, dtype=np.int64),
         costs=np.zeros(t),
         snapshots=s,
@@ -170,7 +169,7 @@ def test_initial_slope_zero_degree_is_exactly_zero():
 
 
 def test_initial_slope_requires_early_snapshots():
-    t = Trajectory("x", None, np.array([1, 50, 100]), np.zeros(3), np.full((3, 2), 0.5), 50)
+    t = Trajectory(np.array([1, 50, 100]), np.zeros(3), np.full((3, 2), 0.5), 50)
     with pytest.raises(ValueError, match="early snapshots"):
         initial_slope_check(t, 0.005, [1, 1])
     with pytest.raises(ValueError, match="early snapshots"):
@@ -224,6 +223,36 @@ def test_phase_sweep_worker_invariance():
     assert sa.getvalue() == sb.getvalue()
     for ra, rb in zip(a.rows, b.rows):
         assert ra.flow_counts == rb.flow_counts
+
+
+def test_phase_sweep_pool_is_bounded_by_its_cells(monkeypatch):
+    # a fork-started pool forks all its workers at once: a sweep of 2 cells
+    # asks for 2, whatever the worker count, and 1 cell runs in-process
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(ec3.flows, "ProcessPoolExecutor", SerialPool)
+    cfg = SolverConfig(seed=0)
+    kw = dict(config=cfg, run_budget=2, base_seed=5)
+    serial = phase_sweep(12, [0.25, 0.5], 1, workers=1, **kw)
+    assert pools == []
+    pooled = phase_sweep(12, [0.25, 0.5], 1, workers=10**6, **kw)
+    assert pools == [2]
+    assert pooled == serial
+    phase_sweep(12, [0.25], 1, workers=10**6, **kw)
+    assert pools == [2]
 
 
 def reference_flow_counts(n_vars, r_grid, instances_per_r, config, run_budget, base_seed):
@@ -294,8 +323,6 @@ def test_r_star_interpolation():
 
 def test_trajectory_csv_golden():
     t = Trajectory(
-        "g",
-        None,
         np.array([1, 2], dtype=np.int64),
         np.array([2.5, 0.125]),
         np.array([[0.5, 0.25], [1.0 / 3.0, 1.0]]),
@@ -338,9 +365,9 @@ def test_trajectory_csv_keeps_signed_zeros_and_nans_apart():
     # 0.0 and could merge the NaNs
     payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
     snaps = np.array([[0.0, -0.0, np.nan, payload_nan], [np.inf, -np.inf, -0.0, 1.0 / 3.0]])
-    t = Trajectory("e", None, np.array([1, 2], dtype=np.int64), np.array([1.0, -0.0]), snaps, 1)
+    t = Trajectory(np.array([1, 2], dtype=np.int64), np.array([1.0, -0.0]), snaps, 1)
     assert_trajectory_csv_matches_reference(t)
-    empty = Trajectory("e", None, np.array([1], dtype=np.int64), np.ones(1), np.zeros((1, 0)), 1)
+    empty = Trajectory(np.array([1], dtype=np.int64), np.ones(1), np.zeros((1, 0)), 1)
     assert_trajectory_csv_matches_reference(empty)
 
 

@@ -42,7 +42,7 @@ from test_cost import reference_cost, reference_gradient
 # --- the reference: one run at a time -----------------------------------------
 
 
-def reference_run(f, config, start, record=False, run_seed=None) -> RunResult:
+def reference_run(f, config, start, record=False) -> RunResult:
     """One projected-descent run, one point at a time, on the two-pass
     reference kernel: the loop the batched engine replaced, kept as the
     reference it must match bit for bit."""
@@ -100,8 +100,6 @@ def reference_run(f, config, start, record=False, run_seed=None) -> RunResult:
     trajectory = None
     if record:
         trajectory = Trajectory(
-            instance_id=inst.label or f"ec3-n{inst.n_vars}-m{inst.n_clauses}",
-            run_seed=run_seed,
             iterations=np.array(iters_log, dtype=np.int64),
             costs=np.array(costs_log),
             snapshots=np.array(snaps_log),
@@ -138,7 +136,7 @@ def assert_same_run(got, want):
     assert (got.trajectory is None) == (want.trajectory is None)
     if want.trajectory is not None:
         a, b = got.trajectory, want.trajectory
-        assert (a.instance_id, a.run_seed, a.stride) == (b.instance_id, b.run_seed, b.stride)
+        assert a.stride == b.stride
         assert a.iterations.tobytes() == b.iterations.tobytes()
         assert a.costs.tobytes() == b.costs.tobytes()
         assert a.snapshots.tobytes() == b.snapshots.tobytes()
@@ -164,6 +162,7 @@ def assert_recorded_solve_matches_rerun(f, config, max_runs):
     assert out.winner_index == plain.winner_index
     assert len(out.results) == len(plain.results)
     traced = {0, out.winner_index} - {None}
+    assert out.traced_index == (out.winner_index if out.solved else 0)
     for i, (got, want) in enumerate(zip(out.results, plain.results)):
         if i in traced:
             assert got.trajectory is not None
@@ -437,7 +436,7 @@ def test_trajectory_sampling_layout(ref15_cost):
     assert t.costs.shape == (len(it),)
     assert t.snapshots.shape == (len(it), 15)
     assert t.stride == 10
-    assert t.run_seed == derive_run_seed(0, 0)
+    assert np.array_equal(t.snapshot_at(1), _run_start(ref15_cost, cfg, 0))  # run 0's
 
 
 def test_trajectory_snapshot_lookup(ref15_cost):
@@ -475,7 +474,7 @@ def test_trajectory_budget_thins_long_runs(ref15_cost):
     # a capped stride-1 run three times longer than the snapshot budget
     budget = ec3.solver._MAX_SNAPSHOTS
     cfg = SolverConfig(eta=1e-7, max_iters=3 * budget + 17, record_every=1)
-    start = _run_start(ref15_cost, cfg, 0)[1]
+    start = _run_start(ref15_cost, cfg, 0)
     reference = reference_run(ref15_cost, cfg, start, record=True).trajectory
     run = bsgd_run(ref15_cost, cfg, start, record=True)
     assert run.status == ITERATION_CAP
@@ -494,7 +493,7 @@ def test_trajectory_budget_at_every_run_length(monkeypatch, ref15_cost):
     # on a sampled step and on the final one
     monkeypatch.setattr(ec3.solver, "_MAX_SNAPSHOTS", 16)
     longest = SolverConfig(eta=1e-7, max_iters=120, record_every=1)
-    start = _run_start(ref15_cost, longest, 0)[1]
+    start = _run_start(ref15_cost, longest, 0)
     reference = reference_run(ref15_cost, longest, start, record=True).trajectory
     for cap in range(1, 121):
         cfg = replace(longest, max_iters=cap)
@@ -643,13 +642,13 @@ def test_engine_matches_reference_on_edge_runs(unsat4_cost):
     cases = [
         (unsat4_cost, SolverConfig(), saddle),
         (empty, SolverConfig(), np.array([0.2, 0.5, 0.9])),
-        (f, capped, _run_start(f, capped, 0)[1]),
+        (f, capped, _run_start(f, capped, 0)),
     ]
     for cost, cfg, start in cases:
         for record in (False, True):
             assert_same_run(
-                bsgd_run(cost, cfg, start, record=record, run_seed=7),
-                reference_run(cost, cfg, start, record=record, run_seed=7),
+                bsgd_run(cost, cfg, start, record=record),
+                reference_run(cost, cfg, start, record=record),
             )
 
 
@@ -657,10 +656,10 @@ def test_engine_recorded_runs_match_reference():
     f = CostFunction.from_instance(generate_instance(100, 40, 1))
     cfg = SolverConfig(seed=3, record_every=7)
     for index in range(3):
-        seed, start = _run_start(f, cfg, index)
+        start = _run_start(f, cfg, index)
         assert_same_run(
             rerun_with_trajectory(f, cfg, index),
-            reference_run(f, cfg, start, record=True, run_seed=seed),
+            reference_run(f, cfg, start, record=True),
         )
 
 
@@ -672,7 +671,7 @@ def test_engine_batch_whose_winner_is_not_row_zero():
     f = CostFunction.from_instance(generate_instance(30, 13, 0))
     for seed in range(64):
         cfg = SolverConfig(seed=seed)
-        starts = np.array([_run_start(f, cfg, i)[1] for i in range(8)])
+        starts = np.array([_run_start(f, cfg, i) for i in range(8)])
         results = _descend(f, cfg, starts)
         solved = [i for i, r in enumerate(results) if r is not None and r.status == SOLVED]
         if len(solved) >= 2 and solved[0] > 0 and None in results:
