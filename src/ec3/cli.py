@@ -7,15 +7,21 @@ result can be reproduced from its own output; machine-readable output is CSV
 `schema: 1`. JSON floats are printed with 17 significant digits (enough to
 reconstruct the exact double), human-readable text with 9.
 
+solve and oracle print their JSON document on stdout; with -o they write
+it to that file and print human text instead. sweep and trace choose CSV
+or JSON with --format.
+
 Exit codes: 0 = solved / SAT / report written, 1 = not solved within the
 run budget or UNSAT, 2 = usage or input error.
 
-The --workers flag sets how many processes a sweep spreads its cells
-over (at most one per cell); solve and trace run in one process and
-ignore it. A sweep's results are contractually identical for every worker
-count (each cell is seeded from its grid position alone), so the worker
-count is not part of the reproducibility header. A sweep's header carries
-no solver seed: each cell derives its own from the instance seed.
+--restarts is the run budget of solve and trace; a sweep's is --budget,
+runs per instance. The --workers flag sets how many processes a sweep
+spreads its cells over (at most one per cell); solve and trace run in one
+process and ignore it. A sweep's results are contractually identical for
+every worker count (each cell is seeded from its grid position alone), so
+the worker count is not part of the reproducibility header. A sweep's
+header carries neither a solver seed nor restarts: each cell derives its
+own seed from the instance seed, and its budget is echoed as budget=.
 """
 
 from __future__ import annotations
@@ -122,29 +128,28 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
-def _echo_solver_config(cfg: SolverConfig, restarts: int, with_seed: bool = True) -> None:
-    # a sweep passes with_seed=False: each of its cells derives its own
-    # solver seed from the instance seed, so cfg.seed changes nothing there
-    seed = f" seed={cfg.seed}" if with_seed else ""
+# A sweep passes no restarts to these two: its run budget is --budget, and
+# each of its cells derives its own solver seed from the instance seed, so
+# it reports neither seed nor restarts.
+def _echo_solver_config(cfg: SolverConfig, restarts: int | None = None) -> None:
+    run = "" if restarts is None else f" seed={cfg.seed} restarts={restarts}"
     _echo(
         f"config: eta={_g9(cfg.eta)} radius={_g9(cfg.start_radius)} "
-        f"max-iters={cfg.max_iters} tol={_g9(cfg.stop_tol)}{seed} "
-        f"restarts={restarts} record-every={cfg.record_every}"
+        f"max-iters={cfg.max_iters} tol={_g9(cfg.stop_tol)}{run} "
+        f"record-every={cfg.record_every}"
     )
 
 
-def _config_dict(cfg: SolverConfig, restarts: int, with_seed: bool = True) -> dict:
+def _config_dict(cfg: SolverConfig, restarts: int | None = None) -> dict:
     d = {
         "eta": cfg.eta,
         "start_radius": cfg.start_radius,
         "max_iters": cfg.max_iters,
         "stop_tol": cfg.stop_tol,
-        "seed": cfg.seed,
-        "restarts": restarts,
-        "record_every": cfg.record_every,
     }
-    if not with_seed:
-        del d["seed"]
+    if restarts is not None:
+        d.update(seed=cfg.seed, restarts=restarts)
+    d["record_every"] = cfg.record_every
     return d
 
 
@@ -180,30 +185,29 @@ def cmd_generate(args) -> int:
             f"r = {_g9(inst.ratio)}",
         ],
     )
+    _write_output(args, text)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
         _echo(f"wrote {args.output}")
         _echo(f"r = {_g9(inst.ratio)}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
 def cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
     cfg = _solver_config(args)
+    # checked before the solve: a bad flag is a usage error on every outcome
+    rule = stopping_rule(args.assume_q, args.chebyshev_k)
     f = CostFunction.from_instance(inst)
     outcome = solve_with_restarts(f, cfg, args.restarts, record=bool(args.trace))
     stats = outcome.stats
     any_certificate = any(r.certificate for r in outcome.results)
+    w = outcome.winner
 
-    machine = args.format == "json" and not args.output
-    if not machine:
+    # without -o stdout carries the JSON document; with it, human text
+    if args.output:
         _echo(f"instance: {args.instance} n={inst.n_vars} m={inst.n_clauses} r={_g9(inst.ratio)}")
         _echo_solver_config(cfg, args.restarts)
         if outcome.solved:
-            w = outcome.winner
             print("Solved")
             print("z: " + " ".join(str(int(b)) for b in w.rounded))
             print(
@@ -218,7 +222,6 @@ def cmd_solve(args) -> int:
                 f"runs: {stats.runs_attempted}  successes: {stats.successes}  "
                 f"q_hat: {_g9(stats.q_hat)}  n_s_hat: {ns}  sigma_hat: {sd}"
             )
-            rule = stopping_rule(args.assume_q, args.chebyshev_k)
             print(
                 f"stopping rule: assuming q >= {_g9(args.assume_q)} (k={_g9(args.chebyshev_k)}), "
                 f"{rule.required_runs} runs bound the failure probability by "
@@ -231,52 +234,50 @@ def cmd_solve(args) -> int:
         index = outcome.traced_index
         with open(args.trace, "w") as fh:
             write_trajectory_csv(outcome.results[index].trajectory, fh)
-        if not machine:
+        if args.output:
             _echo(f"trace of run {index}: {args.trace}")
 
-    if args.format == "json" or args.output:
-        w = outcome.winner
-        doc = {
-            "schema": 1,
-            "command": "solve",
-            "instance": _instance_dict(inst, args.instance),
-            "config": _config_dict(cfg, args.restarts),
-            "result": {
-                "solved": outcome.solved,
-                "status": w.status if w else None,
-                "assignment": [int(b) for b in w.rounded] if w else None,
-                "winner_index": outcome.winner_index,
-                "iterations": w.iterations if w else None,
-                "final_cost": w.final_cost if w else None,
-                "vertex_cost": w.vertex_cost if w else None,
-                "certificate": any_certificate,
-                "runs": [
-                    {
-                        "status": r.status,
-                        "iterations": r.iterations,
-                        "vertex_cost": r.vertex_cost,
-                        "certificate": r.certificate,
-                    }
-                    for r in outcome.results
-                ],
-                "stats": {
-                    "runs_attempted": stats.runs_attempted,
-                    "successes": stats.successes,
-                    "q_hat": stats.q_hat,
-                    "n_s_hat": stats.n_s_hat,
-                    "sigma_hat": stats.sigma_hat,
-                },
+    doc = {
+        "schema": 1,
+        "command": "solve",
+        "instance": _instance_dict(inst, args.instance),
+        "config": _config_dict(cfg, args.restarts),
+        "result": {
+            "solved": outcome.solved,
+            "status": w.status if w else None,
+            "assignment": [int(b) for b in w.rounded] if w else None,
+            "winner_index": outcome.winner_index,
+            "iterations": w.iterations if w else None,
+            "final_cost": w.final_cost if w else None,
+            "vertex_cost": w.vertex_cost if w else None,
+            "certificate": any_certificate,
+            "runs": [
+                {
+                    "status": r.status,
+                    "iterations": r.iterations,
+                    "vertex_cost": r.vertex_cost,
+                    "certificate": r.certificate,
+                }
+                for r in outcome.results
+            ],
+            "stats": {
+                "runs_attempted": stats.runs_attempted,
+                "successes": stats.successes,
+                "q_hat": stats.q_hat,
+                "n_s_hat": stats.n_s_hat,
+                "sigma_hat": stats.sigma_hat,
             },
-        }
-        _write_output(args, dumps17(doc))
+        },
+    }
+    _write_output(args, dumps17(doc))
     return 0 if outcome.solved else 1
 
 
 def cmd_oracle(args) -> int:
     inst = _read_instance(args.instance)
     res = brute_force_oracle(inst, cap=args.cap)
-    machine = args.format == "json" and not args.output
-    if not machine:
+    # without -o stdout carries the JSON document; with it, human text
+    if args.output:
         _echo(f"instance: {args.instance} n={inst.n_vars} m={inst.n_clauses} r={_g9(inst.ratio)}")
         free = int((inst.clause_degree == 0).sum())
         _echo(
@@ -289,18 +290,17 @@ def cmd_oracle(args) -> int:
             print(f"solutions: {res.n_solutions}")
         else:
             print("UNSAT")
-    if args.format == "json" or args.output:
-        doc = {
-            "schema": 1,
-            "command": "oracle",
-            "instance": _instance_dict(inst, args.instance),
-            "result": {
-                "satisfiable": res.satisfiable,
-                "witness": [int(b) for b in res.witness] if res.witness is not None else None,
-                "n_solutions": res.n_solutions,
-            },
-        }
-        _write_output(args, dumps17(doc))
+    doc = {
+        "schema": 1,
+        "command": "oracle",
+        "instance": _instance_dict(inst, args.instance),
+        "result": {
+            "satisfiable": res.satisfiable,
+            "witness": [int(b) for b in res.witness] if res.witness is not None else None,
+            "n_solutions": res.n_solutions,
+        },
+    }
+    _write_output(args, dumps17(doc))
     return 0 if res.satisfiable else 1
 
 
@@ -319,15 +319,18 @@ def cmd_verify(args) -> int:
 
 
 def _ratio_grid(r_from: float, r_to: float, step: float):
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     if r_to < r_from:
         raise ValueError("empty ratio grid (r-to below r-from)")
     # the grid rises, so its end points bound it: reject a ratio outside
     # (0, 1] before a list of any length is built
     ends = (r_from, r_to)
     if math.isfinite(r_to - r_from):
-        count = math.floor((r_to - r_from) / step + 0.5) + 1
+        span = (r_to - r_from) / step
+        if not math.isfinite(span):
+            raise ValueError(f"step={step!r} is too small: the grid has no finite point count")
+        count = math.floor(span + 0.5) + 1
         ends = (r_from, round(r_from + (count - 1) * step, 10))
     for r in ends:
         if not 0.0 < r <= 1.0:
@@ -356,7 +359,7 @@ def cmd_sweep(args) -> int:
             f"sweep: n={args.n_vars} r={_g9(args.r_from)}..{_g9(args.r_to)} step={_g9(args.step)} "
             f"per-r={args.per_r} budget={args.budget} oracle={str(args.oracle).lower()}"
         )
-        _echo_solver_config(cfg, args.budget, with_seed=False)
+        _echo_solver_config(cfg)
     rstar = r_star_estimate(report)
     if args.format == "json":
         doc = {
@@ -370,7 +373,7 @@ def cmd_sweep(args) -> int:
                 "base_seed": args.seed,
                 "oracle": args.oracle,
                 "oracle_cap": args.cap,
-                **_config_dict(cfg, args.budget, with_seed=False),
+                **_config_dict(cfg),
             },
             "rows": [
                 {
@@ -487,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     solver_p.add_argument("--max-iters", type=int, default=1_000_000)
     solver_p.add_argument("--tol", type=float, default=1e-12, help="fixed-point displacement tolerance")
     solver_p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    solver_p.add_argument("--restarts", type=int, default=10, help="maximum runs")
     solver_p.add_argument(
         "--workers",
         type=int,
@@ -500,12 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     out_p = argparse.ArgumentParser(add_help=False)
     out_p.add_argument("-o", "--output", help="output file path")
 
-    def add_format(sp, default):
-        # per-subparser, NOT on out_p: parents= shares action objects, and
-        # set_defaults would overwrite the shared default across commands
-        sp.add_argument(
-            "--format", choices=("csv", "json"), default=default, help="machine output format"
-        )
+    # sweep and trace write CSV by default, or one JSON document
+    format_p = argparse.ArgumentParser(add_help=False)
+    format_p.add_argument(
+        "--format", choices=("csv", "json"), default="csv", help="machine output format"
+    )
 
     g = sub.add_parser("generate", parents=[out_p], help="write a random instance")
     g.add_argument("-n", "--n-vars", type=int, required=True)
@@ -515,10 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", parents=[solver_p, out_p], help="multi-restart descent")
     s.add_argument("instance")
+    s.add_argument("--restarts", type=int, default=10, help="maximum runs")
     s.add_argument("--trace", help="also write the solved run's trajectory CSV here")
     s.add_argument("--assume-q", type=float, default=0.25, help="assumed per-run success probability for the stopping rule")
     s.add_argument("--chebyshev-k", type=float, default=11.0, help="confidence parameter k of the stopping rule")
-    add_format(s, "json")
     s.set_defaults(func=cmd_solve)
 
     o = sub.add_parser(
@@ -526,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     o.add_argument("instance")
     o.add_argument("--cap", type=int, default=ORACLE_CAP, help="largest admissible N")
-    add_format(o, "json")
     o.set_defaults(func=cmd_oracle)
 
     v = sub.add_parser("verify", help="check an assignment file against an instance")
@@ -534,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("assignment")
     v.set_defaults(func=cmd_verify)
 
-    w = sub.add_parser("sweep", parents=[solver_p, out_p], help="ratio sweep")
+    w = sub.add_parser("sweep", parents=[solver_p, out_p, format_p], help="ratio sweep")
     w.add_argument("-n", "--n-vars", type=int, required=True)
     w.add_argument("--r-from", type=float, required=True)
     w.add_argument("--r-to", type=float, required=True)
@@ -543,12 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--budget", type=int, default=5, help="runs per instance")
     w.add_argument("--oracle", action="store_true", help="record exact satisfiability (N <= cap)")
     w.add_argument("--cap", type=int, default=ORACLE_CAP)
-    add_format(w, "csv")
     w.set_defaults(func=cmd_sweep)
 
-    t = sub.add_parser("trace", parents=[solver_p, out_p], help="solve, recording the winning run; classify its flows and check the starting-slope law")
+    t = sub.add_parser("trace", parents=[solver_p, out_p, format_p], help="solve, recording the winning run; classify its flows and check the starting-slope law")
     t.add_argument("instance")
-    add_format(t, "csv")
+    t.add_argument("--restarts", type=int, default=10, help="maximum runs")
     t.set_defaults(func=cmd_trace)
 
     return parser

@@ -87,12 +87,13 @@ class SolverConfig:
     record_every: int = 10      # trajectory sampling stride
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        # a NaN or infinite step or tolerance would spin every run to max_iters
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
         if not 0 < self.start_radius < 0.5:
             raise ValueError("start_radius must lie in (0, 1/2)")
-        if self.stop_tol < 0:
-            raise ValueError("stop_tol must be nonnegative")
+        if not 0 <= self.stop_tol < math.inf:
+            raise ValueError("stop_tol must be nonnegative and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.record_every < 1:
@@ -484,11 +485,14 @@ def stopping_rule(q_assumed: float, k: float) -> StoppingRule:
     bound below 1% for every q."""
     if not 0.0 < q_assumed < 1.0:
         raise ValueError("q_assumed must lie strictly between 0 and 1")
-    if k <= 1.0:
-        raise ValueError("k must exceed 1")
+    if not 1.0 < k < math.inf:
+        raise ValueError("k must exceed 1 and be finite")
     # tiny slack so exact-arithmetic integers (e.g. k/q = 110) survive the
     # float division
-    required = math.ceil(k / q_assumed - 1.0 - 1e-12)
+    runs = k / q_assumed - 1.0 - 1e-12
+    if not math.isfinite(runs):
+        raise ValueError(f"q_assumed={q_assumed!r} is too small: the run count overflows")
+    required = math.ceil(runs)
     bound = (1.0 - q_assumed) / ((1.0 - q_assumed) + (k - 1.0) ** 2)
     return StoppingRule(int(required), float(bound))
 

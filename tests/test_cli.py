@@ -76,9 +76,14 @@ def test_generate_infeasible_is_usage_error(capsys):
 
 
 def test_generate_has_no_format_option(capsys):
-    # an instance file has one format; the option would change nothing
+    # an instance file has one format, and solve and oracle write one JSON
+    # document (to stdout, or with -o to a file); the option would change nothing
     assert main(["generate", "-n", "10", "-m", "4", "--format", "json"]) == 2
     assert "--format" in capsys.readouterr().err
+    for command in ("solve", "oracle"):
+        for fmt in ("json", "csv"):
+            assert main([command, REF15, "--format", fmt]) == 2
+            assert "--format" in capsys.readouterr().err
 
 
 # --- solve --------------------------------------------------------------------
@@ -159,6 +164,26 @@ def test_solve_trace_writes_trajectory(tmp_path, capsys):
 def test_solve_missing_file_is_usage_error(capsys):
     assert main(["solve", "/nonexistent/foo.ec3"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_solve_flags_are_checked_before_the_solve(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started with a bad flag")
+
+    monkeypatch.setattr("ec3.cli.solve_with_restarts", no_solve)
+    cases = (
+        ["--assume-q", "5"],
+        ["--assume-q", "1e-320"],
+        ["--chebyshev-k", "inf"],
+        ["--chebyshev-k", "nan"],
+        ["--eta", "nan"],
+        ["--eta", "inf"],
+        ["--tol", "nan"],
+    )
+    for flags in cases:
+        assert main(["solve", REF15, *flags]) == 2, flags
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (flags, err)
 
 
 # --- oracle -------------------------------------------------------------------
@@ -245,6 +270,9 @@ def test_sweep_csv_output(tmp_path, capsys):
     # every cell derives its own solver seed, so no solver seed is echoed
     config_line = next(ln for ln in echoed.splitlines() if ln.startswith("c config:"))
     assert "seed=" not in config_line
+    # its run budget is --budget, echoed on the sweep line
+    assert "restarts" not in config_line
+    assert "budget=2" in echoed
 
 
 def test_sweep_json_document(capsys):
@@ -255,6 +283,7 @@ def test_sweep_json_document(capsys):
     assert doc["config"]["r_grid"] == [0.25, 0.5]
     assert doc["config"]["base_seed"] == 5
     assert "seed" not in doc["config"]  # cells derive their solver seeds
+    assert "restarts" not in doc["config"] and doc["config"]["run_budget"] == 2
     assert len(doc["rows"]) == 2
     assert "r_star" in doc
     for row in doc["rows"]:
@@ -267,10 +296,29 @@ def test_sweep_bad_grid(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_sweep_zero_step_is_usage_error(capsys):
+def test_sweep_has_no_restarts_option(capsys):
+    # a sweep's run budget is --budget; --restarts would change nothing
+    assert main(SWEEP_ARGS + ["--restarts", "3"]) == 2
+    assert "--restarts" in capsys.readouterr().err
+
+
+def test_sweep_zero_step_is_usage_error(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep started with a bad step")
+
+    monkeypatch.setattr("ec3.cli.phase_sweep", no_sweep)
     rc = main(["sweep", "-n", "12", "--r-from", "0.25", "--r-to", "0.5", "--step", "0", "--workers", "1"])
     assert rc == 2
     assert "step must be positive" in capsys.readouterr().err
+    for step, message in (
+        ("nan", "step must be positive and finite"),
+        ("inf", "step must be positive and finite"),
+        ("1e-320", "step=1e-320 is too small"),
+    ):
+        rc = main(["sweep", "-n", "12", "--r-from", "0.25", "--r-to", "0.5", "--step", step, "--workers", "1"])
+        assert rc == 2, step
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, (step, err)
 
 
 def test_sweep_ratios_are_checked_before_the_grid_is_built(capsys, monkeypatch):

@@ -17,8 +17,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
     [
         ["scripts/bench_descent.py", "--sizes", "24:12", "--widths", "1,2", "--steps", "5", "--reps", "1"],
         ["scripts/run_scaling_demo.py", "--sizes", "15:8", "--trials", "1", "--restarts", "2"],
+        # the benchmark's own self-test: it fails if a change breaks a flag
+        # the benchmark passes or a name its tracer resolves
+        ["perfbench/selftest.py"],
     ],
-    ids=["bench_descent", "run_scaling_demo"],
+    ids=["bench_descent", "run_scaling_demo", "perfbench_selftest"],
 )
 def test_script_runs(argv):
     proc = subprocess.run(
@@ -26,3 +29,14 @@ def test_script_runs(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_bench_descent_has_no_replay():
+    # the per-width table measures the engine itself; no model of its
+    # batch schedule is kept beside it
+    proc = subprocess.run(
+        [sys.executable, "scripts/bench_descent.py", "--replay"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "--replay" in proc.stderr

@@ -202,6 +202,11 @@ def test_derive_run_seed_is_base_xor_mix():
         dict(stop_tol=-1e-9),
         dict(max_iters=0),
         dict(record_every=0),
+        # non-finite values would spin every run to max_iters
+        dict(eta=float("nan")),
+        dict(eta=float("inf")),
+        dict(stop_tol=float("nan")),
+        dict(stop_tol=float("inf")),
     ],
 )
 def test_solver_config_validation(bad):
@@ -736,8 +741,12 @@ def test_stopping_rule_validation():
     for q in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             stopping_rule(q, 11.0)
+    for k in (1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="k must"):
+            stopping_rule(0.5, k)
+    # k/q overflows: no finite run count
     with pytest.raises(ValueError):
-        stopping_rule(0.5, 1.0)
+        stopping_rule(1e-320, 11.0)
 
 
 def test_geometric_trial_variance_identity():
