@@ -32,6 +32,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -114,7 +115,7 @@ def _echo(line: str) -> None:
 
 def _read_instance(path: str):
     with open(path) as fh:
-        return parse_instance(fh.read(), label=os.path.basename(path))
+        return parse_instance(fh.read())
 
 
 def _solver_config(args) -> SolverConfig:
@@ -153,15 +154,13 @@ def _config_dict(cfg: SolverConfig, restarts: int | None = None) -> dict:
     return d
 
 
-def _instance_dict(instance, path=None) -> dict:
-    d = {
+def _instance_dict(instance, path: str) -> dict:
+    return {
         "n_vars": instance.n_vars,
         "n_clauses": instance.n_clauses,
         "r": instance.ratio,
+        "path": path,
     }
-    if path is not None:
-        d["path"] = path
-    return d
 
 
 def _write_output(args, text: str) -> None:
@@ -318,9 +317,17 @@ def cmd_verify(args) -> int:
     return 1
 
 
+# grid points are rounded to this many decimals; a finer step repeats ratios
+_GRID_DIGITS = 10
+
+
 def _ratio_grid(r_from: float, r_to: float, step: float):
     if not 0.0 < step < math.inf:
         raise ValueError("step must be positive and finite")
+    if step < 10.0**-_GRID_DIGITS:
+        raise ValueError(
+            f"step={step!r} is too small: grid points are rounded to {_GRID_DIGITS} decimals"
+        )
     if r_to < r_from:
         raise ValueError("empty ratio grid (r-to below r-from)")
     # the grid rises, so its end points bound it: reject a ratio outside
@@ -331,14 +338,16 @@ def _ratio_grid(r_from: float, r_to: float, step: float):
         if not math.isfinite(span):
             raise ValueError(f"step={step!r} is too small: the grid has no finite point count")
         count = math.floor(span + 0.5) + 1
-        ends = (r_from, round(r_from + (count - 1) * step, 10))
+        ends = (r_from, round(r_from + (count - 1) * step, _GRID_DIGITS))
     for r in ends:
         if not 0.0 < r <= 1.0:
             raise ValueError(f"ratio r={r} outside (0, 1]")
-    return [round(r_from + i * step, 10) for i in range(count)]
+    return [round(r_from + i * step, _GRID_DIGITS) for i in range(count)]
 
 
 def cmd_sweep(args) -> int:
+    if args.oracle and args.n_vars > args.cap:
+        raise ValueError(f"--oracle needs N <= --cap, got n={args.n_vars} above cap {args.cap}")
     cfg = _solver_config(args)
     grid = _ratio_grid(args.r_from, args.r_to, args.step)
     report = phase_sweep(
@@ -424,10 +433,8 @@ def cmd_trace(args) -> int:
             f"starting-slope law: {slope_law_ok}/{inst.n_vars} variables "
             "within 0.1*eta of eta*C_k/4"
         )
-        pops = {}
-        for lbl in labels:
-            pops[lbl] = pops.get(lbl, 0) + 1
-        print("flow families: " + "  ".join(f"{k}={v}" for k, v in sorted(pops.items())))
+        pops = sorted(Counter(labels).items())
+        print("flow families: " + "  ".join(f"{k}={v}" for k, v in pops))
 
     if args.format == "json":
         doc = {

@@ -26,6 +26,7 @@ not theory.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -68,19 +69,21 @@ class SlopeCheck:
     ok: np.ndarray         # |observed − predicted| ≤ 0.1·η
 
 
+def _first_displacement(trajectory: Trajectory) -> np.ndarray:
+    """snapshot(2) − snapshot(1); ValueError if either was not recorded."""
+    try:
+        return trajectory.snapshot_at(2) - trajectory.snapshot_at(1)
+    except KeyError as e:
+        raise ValueError(f"trajectory lacks the early snapshots needed: {e}") from None
+
+
 def initial_slope_check(trajectory: Trajectory, eta: float, clause_degree) -> SlopeCheck:
     """Compare each variable's first displacement, snapshot(2) − snapshot(1),
     against the predicted η·C_k/4. The 0.1·η tolerance absorbs the start
     point sitting near, not at, the exact center. Requires the trajectory to
     have recorded iterations 1 and 2 (stride 1 near the start)."""
-    try:
-        x1 = trajectory.snapshot_at(1)
-        x2 = trajectory.snapshot_at(2)
-    except KeyError as e:
-        raise ValueError(f"trajectory lacks the early snapshots needed: {e}") from None
-    degree = np.asarray(clause_degree, dtype=np.float64)
-    observed = x2 - x1
-    predicted = eta * degree / 4.0
+    observed = _first_displacement(trajectory)
+    predicted = eta * np.asarray(clause_degree, dtype=np.float64) / 4.0
     ok = np.abs(observed - predicted) <= 0.1 * eta
     return SlopeCheck(observed, predicted, ok)
 
@@ -88,12 +91,7 @@ def initial_slope_check(trajectory: Trajectory, eta: float, clause_degree) -> Sl
 def slope_spectrum(trajectory: Trajectory, eta: float) -> np.ndarray:
     """First displacements in units of η/4. Clusters on the integers
     0..M — the discrete spectrum of starting slopes."""
-    try:
-        x1 = trajectory.snapshot_at(1)
-        x2 = trajectory.snapshot_at(2)
-    except KeyError as e:
-        raise ValueError(f"trajectory lacks the early snapshots needed: {e}") from None
-    return (x2 - x1) / (eta / 4.0)
+    return _first_displacement(trajectory) / (eta / 4.0)
 
 
 def classify_flows(trajectory: Trajectory, config: ClassifierConfig = _DEFAULT_CLASSIFIER):
@@ -158,10 +156,8 @@ class SweepRow:
 
 @dataclass
 class SweepReport:
-    n_vars: int
-    instances_per_r: int
-    run_budget: int
-    base_seed: int
+    """A sweep's results: one SweepRow per grid ratio, in grid order."""
+
     rows: list
 
     @property
@@ -182,10 +178,9 @@ def _sweep_cell(args):
     sat = None
     if want_oracle and n_vars <= cap:
         sat = brute_force_oracle(inst, cap=cap).satisfiable
-    counts = {}
+    counts = Counter()
     if classify and outcome.solved:
-        for lbl in classify_flows(outcome.winner.trajectory):
-            counts[lbl] = counts.get(lbl, 0) + 1
+        counts.update(classify_flows(outcome.winner.trajectory))
     runs = outcome.stats.runs_attempted if outcome.solved else None
     return outcome.solved, runs, sat, counts
 
@@ -211,12 +206,15 @@ def phase_sweep(
     fraction under the run budget, exact satisfiability when N is within the
     oracle cap, mean runs-to-success among solved cells, and, with
     `classify`, the flow-family populations of the winning runs. The cells
-    spread over min(workers, cells) processes; one runs them in this one.
+    spread over min(workers, cells) processes; one runs them in this one,
+    and a count below one is a ValueError.
     """
     if instances_per_r < 1:
         raise ValueError("instances_per_r must be at least 1")
     if run_budget < 1:
         raise ValueError("run_budget must be at least 1")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     r_grid = [float(r) for r in r_grid]
     if not r_grid:
         raise ValueError("empty ratio grid")
@@ -255,10 +253,9 @@ def phase_sweep(
         solved = sum(1 for ok, _, _, _ in chunk if ok)
         runs = [ru for ok, ru, _, _ in chunk if ok]
         sats = [sa for _, _, sa, _ in chunk if sa is not None]
-        counts: dict = {}
+        counts = Counter()
         for _, _, _, c in chunk:
-            for lbl, v in c.items():
-                counts[lbl] = counts.get(lbl, 0) + v
+            counts.update(c)
         rows.append(
             SweepRow(
                 r=r,
@@ -268,10 +265,10 @@ def phase_sweep(
                 solver_success_frac=solved / instances_per_r,
                 oracle_sat_frac=(sum(sats) / len(sats)) if sats else None,
                 mean_runs_to_success=(sum(runs) / len(runs)) if runs else None,
-                flow_counts=counts,
+                flow_counts=dict(counts),
             )
         )
-    return SweepReport(n_vars, instances_per_r, run_budget, base_seed, rows)
+    return SweepReport(rows)
 
 
 def r_star_estimate(report: SweepReport) -> float | None:
@@ -295,62 +292,41 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _resolve(fileobj_or_path, mode="w"):
-    if hasattr(fileobj_or_path, "write"):
-        return fileobj_or_path, False
-    return open(fileobj_or_path, mode), True
-
-
-def write_trajectory_csv(trajectory: Trajectory, fileobj_or_path) -> None:
-    """Rows `iter,F,x1,...,xN`, one per sampled iteration (1-based index).
+def write_trajectory_csv(trajectory: Trajectory, fh) -> None:
+    """Write rows `iter,F,x1,...,xN` to the open text file fh, one per
+    sampled iteration (1-based index).
 
     Each distinct snapshot value is formatted once (a descent's coordinates
     repeat heavily once they reach 0 or 1, or stop moving). Values are told
     apart by their bits, not compared as floats, so −0.0 and 0.0, and
     NaNs, each keep their own text."""
-    fh, owned = _resolve(fileobj_or_path)
-    try:
-        snaps = np.ascontiguousarray(trajectory.snapshots, dtype=np.float64)
-        n = snaps.shape[1]
-        bits, inverse = np.unique(snaps.view(np.uint64), return_inverse=True)
-        text = np.array([_g17(v) for v in bits.view(np.float64)], dtype=object)
-        cells = text[inverse.reshape(snaps.shape)].tolist()
-        fh.write("iter,F," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
-        for it, cost, row in zip(trajectory.iterations, trajectory.costs, cells):
-            fh.write(f"{int(it)},{_g17(cost)}," + ",".join(row) + "\n")
-    finally:
-        if owned:
-            fh.close()
+    snaps = np.ascontiguousarray(trajectory.snapshots, dtype=np.float64)
+    n = snaps.shape[1]
+    bits, inverse = np.unique(snaps.view(np.uint64), return_inverse=True)
+    text = np.array([_g17(v) for v in bits.view(np.float64)], dtype=object)
+    cells = text[inverse.reshape(snaps.shape)].tolist()
+    fh.write("iter,F," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
+    for it, cost, row in zip(trajectory.iterations, trajectory.costs, cells):
+        fh.write(f"{int(it)},{_g17(cost)}," + ",".join(row) + "\n")
 
 
-def write_labels_csv(labels, clause_degree, fileobj_or_path) -> None:
-    """Rows `var,C_k,label` with 1-based variable numbering."""
-    fh, owned = _resolve(fileobj_or_path)
-    try:
-        fh.write("var,C_k,label\n")
-        for i, (deg, lbl) in enumerate(zip(np.asarray(clause_degree), labels)):
-            fh.write(f"{i + 1},{int(deg)},{lbl}\n")
-    finally:
-        if owned:
-            fh.close()
+def write_labels_csv(labels, clause_degree, fh) -> None:
+    """Write rows `var,C_k,label` to the open text file fh, with 1-based
+    variable numbering."""
+    fh.write("var,C_k,label\n")
+    for i, (deg, lbl) in enumerate(zip(np.asarray(clause_degree), labels)):
+        fh.write(f"{i + 1},{int(deg)},{lbl}\n")
 
 
-def write_sweep_csv(report: SweepReport, fileobj_or_path) -> None:
-    """Rows `r,M,N,instances,solver_success_frac,oracle_sat_frac,
-    mean_runs_to_success`; absent oracle data or an empty success set print
-    as nan."""
-    fh, owned = _resolve(fileobj_or_path)
-    try:
-        fh.write("r,M,N,instances,solver_success_frac,oracle_sat_frac,mean_runs_to_success\n")
-        for row in report.rows:
-            sat = _g17(row.oracle_sat_frac) if row.oracle_sat_frac is not None else "nan"
-            mrs = (
-                _g17(row.mean_runs_to_success) if row.mean_runs_to_success is not None else "nan"
-            )
-            fh.write(
-                f"{_g17(row.r)},{row.n_clauses},{row.n_vars},{row.instances},"
-                f"{_g17(row.solver_success_frac)},{sat},{mrs}\n"
-            )
-    finally:
-        if owned:
-            fh.close()
+def write_sweep_csv(report: SweepReport, fh) -> None:
+    """Write rows `r,M,N,instances,solver_success_frac,oracle_sat_frac,
+    mean_runs_to_success` to the open text file fh; absent oracle data or an
+    empty success set print as nan."""
+    fh.write("r,M,N,instances,solver_success_frac,oracle_sat_frac,mean_runs_to_success\n")
+    for row in report.rows:
+        sat = _g17(row.oracle_sat_frac) if row.oracle_sat_frac is not None else "nan"
+        mrs = _g17(row.mean_runs_to_success) if row.mean_runs_to_success is not None else "nan"
+        fh.write(
+            f"{_g17(row.r)},{row.n_clauses},{row.n_vars},{row.instances},"
+            f"{_g17(row.solver_success_frac)},{sat},{mrs}\n"
+        )

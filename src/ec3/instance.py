@@ -40,7 +40,6 @@ class Instance:
     n_vars: int
     clauses: np.ndarray        # shape (M, 3), int32, 1-based indices
     clause_degree: np.ndarray  # shape (N,), per-variable clause count
-    label: str | None = None
 
     @property
     def n_clauses(self) -> int:
@@ -52,7 +51,7 @@ class Instance:
         return self.n_clauses / self.n_vars
 
 
-def make_instance(n_vars, clauses, label=None) -> Instance:
+def make_instance(n_vars, clauses) -> Instance:
     """Validate a clause list and build an Instance.
 
     Raises ValueError for out-of-range or repeated indices; duplicate clauses
@@ -82,10 +81,10 @@ def make_instance(n_vars, clauses, label=None) -> Instance:
     degree = np.bincount(arr.ravel() - 1, minlength=n_vars).astype(np.int64)
     arr.setflags(write=False)
     degree.setflags(write=False)
-    return Instance(int(n_vars), arr, degree, label)
+    return Instance(int(n_vars), arr, degree)
 
 
-def parse_instance(text: str, label: str | None = None) -> Instance:
+def parse_instance(text: str) -> Instance:
     """Parse the instance file format. Comment lines start with 'c'."""
     header = None
     triples = []
@@ -115,7 +114,7 @@ def parse_instance(text: str, label: str | None = None) -> Instance:
     n_vars, m = header
     if len(triples) != m:
         raise ValueError(f"header promises {m} clauses, file contains {len(triples)}")
-    return make_instance(n_vars, np.array(triples, dtype=np.int32).reshape(m, 3), label=label)
+    return make_instance(n_vars, np.array(triples, dtype=np.int32).reshape(m, 3))
 
 
 def emit_instance(instance: Instance, comments=()) -> str:
@@ -136,6 +135,8 @@ def generate_instance(n_vars: int, n_clauses: int, seed: int) -> Instance:
     """
     if n_vars < 3:
         raise ValueError(f"need n_vars >= 3 to form clauses, got {n_vars}")
+    if n_clauses < 0:
+        raise ValueError(f"n_clauses must be >= 0, got {n_clauses}")
     if n_clauses > math.comb(n_vars, 3):
         raise ValueError(
             f"cannot draw {n_clauses} distinct clauses over {n_vars} variables "
@@ -152,9 +153,7 @@ def generate_instance(n_vars: int, n_clauses: int, seed: int) -> Instance:
         seen.add(key)
         rows.append(triple)
     clauses = np.array(rows, dtype=np.int32).reshape(n_clauses, 3)
-    return make_instance(
-        n_vars, clauses, label=f"random-n{n_vars}-m{n_clauses}-s{seed}"
-    )
+    return make_instance(n_vars, clauses)
 
 
 @dataclass(frozen=True)

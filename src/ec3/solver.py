@@ -233,19 +233,20 @@ class _Log:
         self.costs = [float(cost)]
         self.snapshots = [x.copy()]
 
+    def due(self, k: int) -> bool:
+        """Whether the point after k updates is on the schedule."""
+        return k <= 5 or k % self.stride == 0
+
     def add(self, k: int, cost, x, final: bool = False) -> None:
         """Record the point after k updates if, once a full log is thinned,
         k is still on the schedule (a final point always is)."""
         if len(self.iterations) == _MAX_SNAPSHOTS:
             self.stride *= 2
-            keep = [
-                p for p, it in enumerate(self.iterations)
-                if it <= 6 or (it - 1) % self.stride == 0
-            ]
+            keep = [p for p, it in enumerate(self.iterations) if self.due(it - 1)]
             self.iterations = [self.iterations[p] for p in keep]
             self.costs = [self.costs[p] for p in keep]
             self.snapshots = [self.snapshots[p] for p in keep]
-        if final or k <= 5 or k % self.stride == 0:
+        if final or self.due(k):
             self.iterations.append(k + 1)
             self.costs.append(float(cost))
             self.snapshots.append(x.copy())
@@ -297,7 +298,6 @@ def _descend(
     logs = None
     if record:
         logs = [_Log(config.record_every, F[i], X[i]) for i in range(len(X))]
-        stride = config.record_every  # live rows fill and thin together
 
     k = 0
     while len(rows):
@@ -313,10 +313,10 @@ def _descend(
         low = F < 1.0
         if low.any():
             certificate |= low & np.all((X > 0.0) & (X < 1.0), axis=1)
-        if logs is not None and (k <= 5 or k % stride == 0):
+        # live rows have recorded the same steps, so they fill and thin together
+        if logs is not None and logs[rows[0]].due(k):
             for j, r in enumerate(rows):
                 logs[r].add(k, F[j], X[j])
-            stride = logs[rows[0]].stride
         if delta.min() > config.stop_tol and k < config.max_iters:
             continue
         converged = delta <= config.stop_tol
@@ -389,11 +389,20 @@ class RestartStats:
 
 @dataclass
 class SolveOutcome:
-    solved: bool
-    winner: RunResult | None
+    """The reported runs of a solve: runs 0..winner_index, or every run
+    when none solved (winner_index None); the winner is results[winner_index]."""
+
     winner_index: int | None
     results: list
     stats: RestartStats
+
+    @property
+    def solved(self) -> bool:
+        return self.winner_index is not None
+
+    @property
+    def winner(self) -> RunResult | None:
+        return self.results[self.winner_index] if self.solved else None
 
     @property
     def traced_index(self) -> int:
@@ -458,9 +467,7 @@ def solve_with_restarts(
         base = idx.stop
         width = min(2 * width, widest)
 
-    stats = RestartStats.from_runs(results)
-    winner = results[winner_index] if winner_index is not None else None
-    return SolveOutcome(winner is not None, winner, winner_index, results, stats)
+    return SolveOutcome(winner_index, results, RestartStats.from_runs(results))
 
 
 def rerun_with_trajectory(f: CostFunction, config: SolverConfig, run_index: int) -> RunResult:

@@ -26,7 +26,7 @@ UNSAT4_CLAUSES = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
 @pytest.fixture(scope="session")
 def ref15():
-    return make_instance(15, REF15_CLAUSES, label="ref15")
+    return make_instance(15, REF15_CLAUSES)
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +36,7 @@ def ref15_cost(ref15):
 
 @pytest.fixture(scope="session")
 def unsat4():
-    return make_instance(4, UNSAT4_CLAUSES, label="unsat4")
+    return make_instance(4, UNSAT4_CLAUSES)
 
 
 @pytest.fixture(scope="session")

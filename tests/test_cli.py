@@ -70,9 +70,11 @@ def test_generate_stdout_and_determinism(tmp_path, capsys):
 
 
 def test_generate_infeasible_is_usage_error(capsys):
-    rc = main(["generate", "-n", "4", "-m", "100"])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    for argv in (["-n", "4", "-m", "100"], ["-n", "10", "-m", "-5", "--seed", "1"]):
+        rc = main(["generate"] + argv)
+        assert rc == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == "", argv
 
 
 def test_generate_has_no_format_option(capsys):
@@ -100,7 +102,7 @@ def test_solve_machine_json(capsys):
     assert doc["result"]["solved"] is True
     assert doc["result"]["status"] == "Solved"
     assert doc["result"]["vertex_cost"] == 0.0
-    inst = parse_instance(open(REF15).read())
+    inst = parse_instance(pathlib.Path(REF15).read_text())
     z = np.array(doc["result"]["assignment"], dtype=np.uint8)
     assert check_assignment(inst, z).satisfied
     assert doc["config"]["restarts"] == 10
@@ -195,7 +197,7 @@ def test_oracle_sat(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"]["satisfiable"] is True
     assert doc["result"]["n_solutions"] == 30
-    inst = parse_instance(open(REF15).read())
+    inst = parse_instance(pathlib.Path(REF15).read_text())
     z = np.array(doc["result"]["witness"], dtype=np.uint8)
     assert check_assignment(inst, z).satisfied
 
@@ -290,10 +292,26 @@ def test_sweep_json_document(capsys):
         assert 0.0 <= row["solver_success_frac"] <= 1.0
 
 
-def test_sweep_bad_grid(capsys):
-    rc = main(["sweep", "-n", "12", "--r-from", "0.5", "--r-to", "0.25", "--workers", "1"])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+def test_sweep_bad_grid(capsys, monkeypatch):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a sweep cell ran with bad arguments")
+
+    monkeypatch.setattr("ec3.flows._sweep_cell", no_cell)
+    sweep = ["sweep", "-n", "12", "--r-from", "0.25", "--r-to", "0.5", "--per-r", "2"]
+    for extra, message in (
+        (["--r-from", "0.5", "--r-to", "0.25", "--workers", "1"], "r-to below r-from"),
+        (["--workers", "0"], "workers must be at least 1, got 0"),
+        (["--workers", "-3"], "workers must be at least 1, got -3"),
+        # the oracle counts models only up to --cap variables
+        (["-n", "30", "--r-from", "0.5", "--r-to", "0.5", "--oracle", "--workers", "1"],
+         "--oracle needs N <= --cap, got n=30 above cap 26"),
+        (["--oracle", "--cap", "11", "--workers", "1"], "n=12 above cap 11"),
+    ):
+        rc = main(sweep + extra)
+        assert rc == 2, extra
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err, (extra, captured.err)
+        assert captured.out == "", extra
 
 
 def test_sweep_has_no_restarts_option(capsys):
@@ -310,15 +328,20 @@ def test_sweep_zero_step_is_usage_error(capsys, monkeypatch):
     rc = main(["sweep", "-n", "12", "--r-from", "0.25", "--r-to", "0.5", "--step", "0", "--workers", "1"])
     assert rc == 2
     assert "step must be positive" in capsys.readouterr().err
-    for step, message in (
-        ("nan", "step must be positive and finite"),
-        ("inf", "step must be positive and finite"),
-        ("1e-320", "step=1e-320 is too small"),
+    for step, r_to, message in (
+        ("nan", "0.5", "step must be positive and finite"),
+        ("inf", "0.5", "step must be positive and finite"),
+        ("1e-320", "0.5", "step=1e-320 is too small"),
+        # finer than the 10-digit rounding of the grid points: 10001 points,
+        # only 1001 of them distinct
+        ("1e-11", "0.2500001", "step=1e-11 is too small"),
     ):
-        rc = main(["sweep", "-n", "12", "--r-from", "0.25", "--r-to", "0.5", "--step", step, "--workers", "1"])
+        rc = main(["sweep", "-n", "12", "--r-from", "0.25", "--r-to", r_to, "--step", step, "--workers", "1"])
         assert rc == 2, step
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, (step, err)
+    with pytest.raises(ValueError, match="step=1e-11 is too small"):
+        _ratio_grid(0.25, 0.25 + 1e-7, 1e-11)
 
 
 def test_sweep_ratios_are_checked_before_the_grid_is_built(capsys, monkeypatch):
@@ -419,8 +442,10 @@ def test_trace_of_the_flow_gallery_instance(tmp_path, capsys):
     outcome = solve_with_restarts(CostFunction.from_instance(instance), SolverConfig(seed=11), 10, record=True)
     trajectory = outcome.results[outcome.traced_index].trajectory
     want_csv, want_labels = tmp_path / "want.csv", tmp_path / "want.labels.csv"
-    write_trajectory_csv(trajectory, str(want_csv))
-    write_labels_csv(classify_flows(trajectory), instance.clause_degree, str(want_labels))
+    with open(want_csv, "w") as fh:
+        write_trajectory_csv(trajectory, fh)
+    with open(want_labels, "w") as fh:
+        write_labels_csv(classify_flows(trajectory), instance.clause_degree, fh)
     assert out.read_bytes() == want_csv.read_bytes()
     assert (tmp_path / "flows.labels.csv").read_bytes() == want_labels.read_bytes()
 

@@ -198,7 +198,6 @@ def test_phase_sweep_small_grid():
     cfg = SolverConfig(seed=0)
     rep = phase_sweep(12, [0.25, 0.5], 3, cfg, run_budget=3, base_seed=5)
     assert rep.r_grid == [0.25, 0.5]
-    assert rep.n_vars == 12 and rep.instances_per_r == 3
     for row, m in zip(rep.rows, (3, 6)):
         assert row.n_clauses == m
         assert row.instances == 3
@@ -300,6 +299,9 @@ def test_phase_sweep_grid_validation():
         phase_sweep(12, [0.5], 0, cfg, 2, 0)
     with pytest.raises(ValueError):
         phase_sweep(12, [0.5], 2, cfg, 0, 0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            phase_sweep(12, [0.5], 2, cfg, 2, 0, workers=workers)
 
 
 def test_r_star_interpolation():
@@ -307,14 +309,14 @@ def test_r_star_interpolation():
         rows = [
             SweepRow(r, 0, 24, 4, 1.0, s, None) for r, s in pairs
         ]
-        return SweepReport(24, 4, 3, 0, rows)
+        return SweepReport(rows)
 
     assert r_star_estimate(rep([(0.5, 0.8), (0.6, 0.4)])) == pytest.approx(0.575)
     assert r_star_estimate(rep([(0.4, 1.0), (0.5, 0.5), (0.6, 0.0)])) == pytest.approx(0.5)
     assert r_star_estimate(rep([(0.4, 0.9), (0.5, 0.8)])) is None  # no crossing
     assert r_star_estimate(rep([(0.5, 0.5), (0.6, 0.5)])) == 0.5  # flat tie → left edge
-    assert r_star_estimate(SweepReport(24, 4, 3, 0, [])) is None
-    no_oracle = SweepReport(24, 4, 3, 0, [SweepRow(0.5, 12, 24, 4, 1.0, None, None)])
+    assert r_star_estimate(SweepReport([])) is None
+    no_oracle = SweepReport([SweepRow(0.5, 12, 24, 4, 1.0, None, None)])
     assert r_star_estimate(no_oracle) is None
 
 
@@ -383,16 +385,9 @@ def test_sweep_csv_golden():
         SweepRow(0.75, 9, 12, 4, 0.0, None, None),
     ]
     buf = io.StringIO()
-    write_sweep_csv(SweepReport(12, 4, 3, 0, rows), buf)
+    write_sweep_csv(SweepReport(rows), buf)
     assert buf.getvalue() == (
         "r,M,N,instances,solver_success_frac,oracle_sat_frac,mean_runs_to_success\n"
         "0.5,6,12,4,0.75,1,1.5\n"
         "0.75,9,12,4,0,nan,nan\n"
     )
-
-
-def test_csv_writers_accept_paths(tmp_path):
-    rows = [SweepRow(0.5, 6, 12, 4, 0.75, 1.0, 1.5)]
-    p = tmp_path / "sweep.csv"
-    write_sweep_csv(SweepReport(12, 4, 3, 0, rows), p)
-    assert p.read_text().startswith("r,M,N,instances,")

@@ -175,6 +175,8 @@ def test_generate_rejects_infeasible():
         generate_instance(3, 2, seed=0)
     with pytest.raises(ValueError, match="n_vars"):
         generate_instance(2, 1, seed=0)
+    with pytest.raises(ValueError, match="n_clauses must be >= 0"):
+        generate_instance(10, -5, seed=1)
 
 
 @given(n=st.integers(4, 16), seed=st.integers(0, 2**32 - 1), data=st.data())
