@@ -9,7 +9,8 @@ reconstruct the exact double), human-readable text with 9.
 
 solve and oracle print their JSON document on stdout; with -o they write
 it to that file and print human text instead. sweep and trace choose CSV
-or JSON with --format.
+or JSON with --format. trace is the one command that writes a run's
+trajectory: solve reports results only.
 
 Exit codes: 0 = solved / SAT / report written, 1 = not solved within the
 run budget or UNSAT, 2 = usage or input error.
@@ -197,7 +198,7 @@ def cmd_solve(args) -> int:
     # checked before the solve: a bad flag is a usage error on every outcome
     rule = stopping_rule(args.assume_q, args.chebyshev_k)
     f = CostFunction.from_instance(inst)
-    outcome = solve_with_restarts(f, cfg, args.restarts, record=bool(args.trace))
+    outcome = solve_with_restarts(f, cfg, args.restarts)
     stats = outcome.stats
     any_certificate = any(r.certificate for r in outcome.results)
     w = outcome.winner
@@ -228,13 +229,6 @@ def cmd_solve(args) -> int:
             )
             if any_certificate:
                 print("certificate: an interior iterate had F < 1 — the instance is satisfiable")
-
-    if args.trace:
-        index = outcome.traced_index
-        with open(args.trace, "w") as fh:
-            write_trajectory_csv(outcome.results[index].trajectory, fh)
-        if args.output:
-            _echo(f"trace of run {index}: {args.trace}")
 
     doc = {
         "schema": 1,
@@ -504,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep: worker processes for the cells (results are identical for any "
         "value); solve and trace ignore it",
     )
-    solver_p.add_argument("--record-every", type=int, default=10, help="trajectory stride")
+    solver_p.add_argument("--record-every", type=int, default=10, help="trajectory stride (trace, JSON sweep)")
 
     out_p = argparse.ArgumentParser(add_help=False)
     out_p.add_argument("-o", "--output", help="output file path")
@@ -521,10 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=cmd_generate)
 
-    s = sub.add_parser("solve", parents=[solver_p, out_p], help="multi-restart descent")
+    s = sub.add_parser("solve", parents=[solver_p, out_p], help="multi-restart descent (no trajectory)")
     s.add_argument("instance")
     s.add_argument("--restarts", type=int, default=10, help="maximum runs")
-    s.add_argument("--trace", help="also write the solved run's trajectory CSV here")
     s.add_argument("--assume-q", type=float, default=0.25, help="assumed per-run success probability for the stopping rule")
     s.add_argument("--chebyshev-k", type=float, default=11.0, help="confidence parameter k of the stopping rule")
     s.set_defaults(func=cmd_solve)

@@ -100,10 +100,11 @@ def classify_flows(trajectory: Trajectory, config: ClassifierConfig = _DEFAULT_C
     Decision order: V (stationary), III (return to the 1/2 band after an
     excursion above it), II (plateau near 2/3 after rising), I (monotone to
     1), IV (rose then fell to 0), else Irregular. III is tested before II
-    because a splitting flow also spends time near 2/3 on its way out."""
+    because a splitting flow also spends time near 2/3 on its way out. Two
+    snapshots, the start and final point every trajectory has, suffice."""
     s = trajectory.snapshots
-    if s.shape[0] < 3:
-        raise ValueError("need at least 3 snapshots to classify flows")
+    if s.shape[0] < 2:
+        raise ValueError("need at least 2 snapshots to classify flows")
     t, n = s.shape
     cfg = config
     start, final = s[0], s[-1]
@@ -156,13 +157,9 @@ class SweepRow:
 
 @dataclass
 class SweepReport:
-    """A sweep's results: one SweepRow per grid ratio, in grid order."""
+    """A sweep's results: one SweepRow per grid ratio r, in grid order."""
 
     rows: list
-
-    @property
-    def r_grid(self):
-        return [row.r for row in self.rows]
 
 
 def clause_count_for_ratio(r: float, n_vars: int) -> int:
@@ -181,8 +178,8 @@ def _sweep_cell(args):
     counts = Counter()
     if classify and outcome.solved:
         counts.update(classify_flows(outcome.winner.trajectory))
-    runs = outcome.stats.runs_attempted if outcome.solved else None
-    return outcome.solved, runs, sat, counts
+    runs = len(outcome.results) if outcome.solved else None
+    return runs, sat, counts
 
 
 def phase_sweep(
@@ -250,11 +247,10 @@ def phase_sweep(
     rows = []
     for i, (r, m) in enumerate(plan):
         chunk = outcomes[i * instances_per_r : (i + 1) * instances_per_r]
-        solved = sum(1 for ok, _, _, _ in chunk if ok)
-        runs = [ru for ok, ru, _, _ in chunk if ok]
-        sats = [sa for _, _, sa, _ in chunk if sa is not None]
+        runs = [ru for ru, _, _ in chunk if ru is not None]
+        sats = [sa for _, sa, _ in chunk if sa is not None]
         counts = Counter()
-        for _, _, _, c in chunk:
+        for _, _, c in chunk:
             counts.update(c)
         rows.append(
             SweepRow(
@@ -262,7 +258,7 @@ def phase_sweep(
                 n_clauses=m,
                 n_vars=n_vars,
                 instances=instances_per_r,
-                solver_success_frac=solved / instances_per_r,
+                solver_success_frac=len(runs) / instances_per_r,
                 oracle_sat_frac=(sum(sats) / len(sats)) if sats else None,
                 mean_runs_to_success=(sum(runs) / len(runs)) if runs else None,
                 flow_counts=dict(counts),

@@ -59,13 +59,15 @@ def make_instance(n_vars, clauses) -> Instance:
     """
     if n_vars < 1:
         raise ValueError(f"n_vars must be >= 1, got {n_vars}")
-    arr = np.asarray(clauses, dtype=np.int32)
+    arr = np.asarray(clauses)
     if arr.size == 0:
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("clauses must be an (M, 3) array of variable indices")
+    # checked before the int32 cast, which would overflow on a huge index
     if arr.size and (arr.min() < 1 or arr.max() > n_vars):
         raise ValueError(f"variable index out of range [1, {n_vars}]")
+    arr = arr.astype(np.int32, copy=False)
     seen = {}
     for i, row in enumerate(arr):
         if len(set(row.tolist())) != 3:
@@ -114,7 +116,7 @@ def parse_instance(text: str) -> Instance:
     n_vars, m = header
     if len(triples) != m:
         raise ValueError(f"header promises {m} clauses, file contains {len(triples)}")
-    return make_instance(n_vars, np.array(triples, dtype=np.int32).reshape(m, 3))
+    return make_instance(n_vars, triples)
 
 
 def emit_instance(instance: Instance, comments=()) -> str:

@@ -365,7 +365,8 @@ def _finish(f, config, x, cost_now, grad, k, converged, certificate) -> RunResul
 
 @dataclass
 class RestartStats:
-    """Empirical restart statistics over the runs actually executed."""
+    """Empirical restart statistics over the runs actually executed. The
+    Chebyshev failure bound for a run budget is `stopping_rule`'s."""
 
     runs_attempted: int
     successes: int
@@ -382,19 +383,19 @@ class RestartStats:
             return cls(r, s, q, 1.0 / q, math.sqrt((1.0 - q) / (q * q)))
         return cls(r, s, q, None, None)
 
-    def chebyshev_bound(self, k: float) -> float:
-        """One-sided Chebyshev bound (1−q)/(1−q+(k−1)²) at q = q̂."""
-        return (1.0 - self.q_hat) / ((1.0 - self.q_hat) + (k - 1.0) ** 2)
-
 
 @dataclass
 class SolveOutcome:
     """The reported runs of a solve: runs 0..winner_index, or every run
-    when none solved (winner_index None); the winner is results[winner_index]."""
+    when none solved (winner_index None). The winner, `solved` and `stats`
+    are read off these two."""
 
     winner_index: int | None
     results: list
-    stats: RestartStats
+
+    @property
+    def stats(self) -> RestartStats:
+        return RestartStats.from_runs(self.results)
 
     @property
     def solved(self) -> bool:
@@ -467,7 +468,7 @@ def solve_with_restarts(
         base = idx.stop
         width = min(2 * width, widest)
 
-    return SolveOutcome(winner_index, results, RestartStats.from_runs(results))
+    return SolveOutcome(winner_index, results)
 
 
 def rerun_with_trajectory(f: CostFunction, config: SolverConfig, run_index: int) -> RunResult:

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ from ec3 import (
     write_labels_csv,
     write_trajectory_csv,
 )
-from ec3.cli import _ratio_grid, dumps17, main
+from ec3.cli import _ratio_grid, build_parser, dumps17, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 REF15 = str(DATA / "ref15.ec3")
 REF15_Z = str(DATA / "ref15.z")
 UNSAT4 = str(DATA / "unsat4.ec3")
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 # --- JSON rendering -----------------------------------------------------------
@@ -86,6 +88,9 @@ def test_generate_has_no_format_option(capsys):
         for fmt in ("json", "csv"):
             assert main([command, REF15, "--format", fmt]) == 2
             assert "--format" in capsys.readouterr().err
+    # trace is the one command that writes a trajectory
+    assert main(["solve", REF15, "--trace", "x.csv"]) == 2
+    assert "--trace" in capsys.readouterr().err
 
 
 # --- solve --------------------------------------------------------------------
@@ -153,19 +158,20 @@ def test_solve_failure_reports_stopping_rule(tmp_path, capsys):
         assert run["certificate"] is False and run["iterations"] >= 1
 
 
-def test_solve_trace_writes_trajectory(tmp_path, capsys):
-    trace = tmp_path / "run.csv"
-    rc = main(["solve", REF15, "--workers", "1", "--trace", str(trace)])
-    assert rc == 0
-    lines = trace.read_text().splitlines()
-    assert lines[0] == "iter,F," + ",".join(f"x{i}" for i in range(1, 16))
-    assert lines[1].startswith("1,")
-    assert len(lines) > 5
-
-
 def test_solve_missing_file_is_usage_error(capsys):
     assert main(["solve", "/nonexistent/foo.ec3"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_index_outside_int32_is_usage_error(tmp_path, capsys):
+    # exit 1 would mean "not solved" or UNSAT; a bad instance is an input error
+    inst = tmp_path / "big.ec3"
+    inst.write_text("p ec3 3 1\n1 2 3000000000\n")
+    (tmp_path / "z").write_text("0 0 1\n")
+    for argv in (["solve", str(inst)], ["oracle", str(inst)], ["verify", str(inst), str(tmp_path / "z")]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: variable index out of range") and captured.out == "", argv
 
 
 def test_solve_flags_are_checked_before_the_solve(capsys, monkeypatch):
@@ -393,7 +399,10 @@ def test_trace_csv_writes_both_files(tmp_path, capsys):
     rc = main(["trace", REF15, "--workers", "1", "-o", str(out)])
     assert rc == 0
     labels = tmp_path / "flow.labels.csv"
-    assert out.exists() and labels.exists()
+    lines = out.read_text().splitlines()
+    assert lines[0] == "iter,F," + ",".join(f"x{i}" for i in range(1, 16))
+    assert lines[1].startswith("1,")
+    assert len(lines) > 5
     lab_lines = labels.read_text().splitlines()
     assert lab_lines[0] == "var,C_k,label"
     assert len(lab_lines) == 16
@@ -454,7 +463,7 @@ def test_trace_of_the_flow_gallery_instance(tmp_path, capsys):
 
 
 def test_traces_come_from_the_solve(tmp_path, monkeypatch):
-    # trace and solve --trace record during the solve: no run descends twice
+    # trace records during the solve: no run descends twice
     def no_rerun(*args, **kwargs):
         raise AssertionError("a traced run was descended a second time")
 
@@ -464,7 +473,6 @@ def test_traces_come_from_the_solve(tmp_path, monkeypatch):
     for path, rc in ((REF15, 0), (UNSAT4, 1)):
         out = tmp_path / "t.csv"
         assert main(["trace", path, "--workers", "1", "--restarts", "3", "-o", str(out)]) == rc
-        assert main(["solve", path, "--restarts", "3", "--trace", str(out), "-o", str(tmp_path / "s.json")]) == rc
 
 
 def test_trace_unsolved_falls_back_to_run_zero(tmp_path, capsys):
@@ -473,6 +481,33 @@ def test_trace_unsolved_falls_back_to_run_zero(tmp_path, capsys):
     assert rc == 1  # not solved, but the trace of run 0 is still written
     assert out.exists()
     assert "c traced run: 0 status: Converged-unsolved" in capsys.readouterr().out
+
+
+def test_trace_of_a_clause_free_instance(tmp_path, capsys):
+    # a run with no clauses stops after one update: two snapshots, all V
+    inst = tmp_path / "free.ec3"
+    assert main(["generate", "-n", "5", "-m", "0", "-o", str(inst)]) == 0
+    out = tmp_path / "free.csv"
+    assert main(["trace", str(inst), "--workers", "1", "-o", str(out)]) == 0
+    assert "flow families: V=5" in capsys.readouterr().out
+    labels = (tmp_path / "free.labels.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in labels[1:]] == ["V"] * 5
+
+    instance = parse_instance(inst.read_text())
+    outcome = solve_with_restarts(CostFunction.from_instance(instance), SolverConfig(), 10, record=True)
+    want = tmp_path / "want.csv"
+    with open(want, "w") as fh:
+        write_trajectory_csv(outcome.results[outcome.traced_index].trajectory, fh)
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_trace_of_a_one_update_run(tmp_path, capsys):
+    out = tmp_path / "one.csv"
+    rc = main(["trace", REF15, "--workers", "1", "--max-iters", "1", "-o", str(out)])
+    assert rc in (0, 1), capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3  # header, the start and the point after one update
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
 
 # --- cross-cutting ------------------------------------------------------------
@@ -498,3 +533,17 @@ def test_help_and_unknown_command():
     assert main(["--help"]) == 0
     assert main(["frobnicate"]) == 2
     assert main([]) == 2  # a subcommand is required
+
+
+def test_readme_command_lines_parse(capsys):
+    # every `ec3 ...` line of README.md's code blocks names real options;
+    # they are parsed, not run
+    blocks = README.read_text().split("```")[1::2]
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("ec3 ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}\n{capsys.readouterr().err}")

@@ -129,9 +129,11 @@ def test_classifier_splitting_beats_plateau():
     assert classify_flows(synth([col])).tolist() == ["III-up"]
 
 
-def test_classifier_needs_three_snapshots():
-    with pytest.raises(ValueError, match="3 snapshots"):
-        classify_flows(synth([[0.5, 0.6]]))
+def test_classifier_needs_two_snapshots():
+    with pytest.raises(ValueError, match="2 snapshots"):
+        classify_flows(synth([[0.5]]))
+    # a start and a final point are enough (a run that stops after one update)
+    assert classify_flows(synth([[0.5, 0.5], [0.5, 1.0], [0.5, 0.0]])).tolist() == ["V", "I", "Irregular"]
 
 
 def test_classifier_thresholds_are_adjustable():
@@ -197,7 +199,7 @@ def test_clause_count_rounds_half_up():
 def test_phase_sweep_small_grid():
     cfg = SolverConfig(seed=0)
     rep = phase_sweep(12, [0.25, 0.5], 3, cfg, run_budget=3, base_seed=5)
-    assert rep.r_grid == [0.25, 0.5]
+    assert [row.r for row in rep.rows] == [0.25, 0.5]
     for row, m in zip(rep.rows, (3, 6)):
         assert row.n_clauses == m
         assert row.instances == 3

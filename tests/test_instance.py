@@ -127,6 +127,34 @@ def test_parse_rejects_out_of_range_index():
         parse_instance("p ec3 3 1\n1 2 4\n")
 
 
+@pytest.mark.parametrize("index", [3_000_000_000, -3_000_000_000, 10**30])
+def test_index_outside_int32_is_out_of_range(index):
+    # the range check comes before the int32 cast, which would overflow
+    with pytest.raises(ValueError, match="out of range"):
+        parse_instance(f"p ec3 3 1\n1 2 {index}\n")
+    with pytest.raises(ValueError, match="out of range"):
+        make_instance(3, [[1, 2, index]])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: parse_instance("p ec3 x 1\n1 2 3\n"), "non-integer N/M in header", id="header-n"),
+        pytest.param(lambda: parse_instance("p ec3 0 0\n"), "bad sizes in header", id="header-zero-n"),
+        pytest.param(lambda: parse_instance("p ec3 3 -1\n"), "bad sizes in header", id="header-negative-m"),
+        pytest.param(lambda: parse_instance("p ec3 3 1\n1 2\n"), "expected 3 indices", id="clause-of-2"),
+        pytest.param(lambda: parse_instance("p ec3 4 1\n1 2 3 4\n"), "expected 3 indices", id="clause-of-4"),
+        pytest.param(lambda: parse_instance("p ec3 3 1\n1 2 x\n"), "non-integer index", id="clause-index"),
+        pytest.param(lambda: parse_instance("c only\nc comments\n"), "missing 'p ec3 <N> <M>' header", id="no-header"),
+        pytest.param(lambda: make_instance(0, []), "n_vars must be >= 1", id="make-zero-n"),
+        pytest.param(lambda: make_instance(3, [[1, 2]]), r"\(M, 3\) array", id="make-shape"),
+    ],
+)
+def test_instance_error_messages(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_parse_rejects_repeated_index_within_clause():
     with pytest.raises(ValueError, match="repeats"):
         parse_instance("p ec3 3 1\n1 1 3\n")

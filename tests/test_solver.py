@@ -714,11 +714,6 @@ def test_restart_stats_formulas(r, s):
         assert stats.n_s_hat is None and stats.sigma_hat is None
 
 
-def test_restart_stats_chebyshev_bound():
-    stats = RestartStats(10, 5, 0.5, 2.0, math.sqrt(2.0))
-    assert stats.chebyshev_bound(11.0) == pytest.approx(0.5 / 100.5, rel=1e-15)
-
-
 # --- stopping rule ------------------------------------------------------------
 
 
@@ -730,6 +725,7 @@ def test_stopping_rule_reference_points():
     # exact-integer quotient survives the float division
     assert stopping_rule(0.1, 11.0).required_runs == 109
     assert stopping_rule(0.5, 11.0).required_runs == 21
+    assert stopping_rule(0.5, 11.0).failure_prob_bound == pytest.approx(0.5 / 100.5, rel=1e-15)
 
 
 def test_stopping_rule_bound_below_one_percent_at_k11():
