@@ -16,7 +16,9 @@ Exit codes: 0 = solved / SAT / report written, 1 = not solved within the
 run budget or UNSAT, 2 = usage or input error.
 
 --restarts is the run budget of solve and trace; a sweep's is --budget,
-runs per instance. The --workers flag sets how many processes a sweep
+runs per instance. --record-every, the trajectory stride, belongs to the
+commands that record: trace, and sweep (its JSON document classifies the
+winners' flows). The --workers flag sets how many processes a sweep
 spreads its cells over (at most one per cell); solve and trace run in one
 process and ignore it. A sweep's results are contractually identical for
 every worker count (each cell is seeded from its grid position alone), so
@@ -42,6 +44,7 @@ from .instance import (
     ORACLE_CAP,
     brute_force_oracle,
     check_assignment,
+    emit_assignment,
     emit_instance,
     generate_instance,
     parse_assignment,
@@ -119,40 +122,44 @@ def _read_instance(path: str):
         return parse_instance(fh.read())
 
 
-def _solver_config(args) -> SolverConfig:
+def _solver_config(args, **extra) -> SolverConfig:
     return SolverConfig(
         eta=args.eta,
         start_radius=args.radius,
         max_iters=args.max_iters,
         stop_tol=args.tol,
         seed=args.seed,
-        record_every=args.record_every,
+        **extra,
     )
 
 
-# A sweep passes no restarts to these two: its run budget is --budget, and
-# each of its cells derives its own solver seed from the instance seed, so
-# it reports neither seed nor restarts.
-def _echo_solver_config(cfg: SolverConfig, restarts: int | None = None) -> None:
-    run = "" if restarts is None else f" seed={cfg.seed} restarts={restarts}"
+# The descent settings every solver command shares, then the fields each
+# command adds as keywords, in its own order: solve adds seed and restarts,
+# trace those and record_every, and a sweep record_every alone (its run
+# budget is --budget, and each of its cells derives its own solver seed).
+def _echo_solver_config(cfg: SolverConfig, **run) -> None:
+    extra = "".join(f" {k.replace('_', '-')}={v}" for k, v in run.items())
     _echo(
         f"config: eta={_g9(cfg.eta)} radius={_g9(cfg.start_radius)} "
-        f"max-iters={cfg.max_iters} tol={_g9(cfg.stop_tol)}{run} "
-        f"record-every={cfg.record_every}"
+        f"max-iters={cfg.max_iters} tol={_g9(cfg.stop_tol)}{extra}"
     )
 
 
-def _config_dict(cfg: SolverConfig, restarts: int | None = None) -> dict:
-    d = {
+def _config_dict(cfg: SolverConfig, **run) -> dict:
+    return {
         "eta": cfg.eta,
         "start_radius": cfg.start_radius,
         "max_iters": cfg.max_iters,
         "stop_tol": cfg.stop_tol,
+        **run,
     }
-    if restarts is not None:
-        d.update(seed=cfg.seed, restarts=restarts)
-    d["record_every"] = cfg.record_every
-    return d
+
+
+def _echo_instance(instance, path: str) -> None:
+    _echo(
+        f"instance: {path} n={instance.n_vars} m={instance.n_clauses} "
+        f"r={_g9(instance.ratio)}"
+    )
 
 
 def _instance_dict(instance, path: str) -> dict:
@@ -202,14 +209,15 @@ def cmd_solve(args) -> int:
     stats = outcome.stats
     any_certificate = any(r.certificate for r in outcome.results)
     w = outcome.winner
+    fields = dict(seed=cfg.seed, restarts=args.restarts)
 
     # without -o stdout carries the JSON document; with it, human text
     if args.output:
-        _echo(f"instance: {args.instance} n={inst.n_vars} m={inst.n_clauses} r={_g9(inst.ratio)}")
-        _echo_solver_config(cfg, args.restarts)
+        _echo_instance(inst, args.instance)
+        _echo_solver_config(cfg, **fields)
         if outcome.solved:
             print("Solved")
-            print("z: " + " ".join(str(int(b)) for b in w.rounded))
+            print("z: " + emit_assignment(w.rounded), end="")
             print(
                 f"runs: {stats.runs_attempted}  iterations: {w.iterations}  "
                 f"certificate: {str(w.certificate).lower()}  q_hat: {_g9(stats.q_hat)}"
@@ -234,11 +242,11 @@ def cmd_solve(args) -> int:
         "schema": 1,
         "command": "solve",
         "instance": _instance_dict(inst, args.instance),
-        "config": _config_dict(cfg, args.restarts),
+        "config": _config_dict(cfg, **fields),
         "result": {
             "solved": outcome.solved,
             "status": w.status if w else None,
-            "assignment": [int(b) for b in w.rounded] if w else None,
+            "assignment": w.rounded if w else None,
             "winner_index": outcome.winner_index,
             "iterations": w.iterations if w else None,
             "final_cost": w.final_cost if w else None,
@@ -271,7 +279,7 @@ def cmd_oracle(args) -> int:
     res = brute_force_oracle(inst, cap=args.cap)
     # without -o stdout carries the JSON document; with it, human text
     if args.output:
-        _echo(f"instance: {args.instance} n={inst.n_vars} m={inst.n_clauses} r={_g9(inst.ratio)}")
+        _echo_instance(inst, args.instance)
         free = int((inst.clause_degree == 0).sum())
         _echo(
             f"oracle: cap={args.cap} propagation search over "
@@ -279,7 +287,7 @@ def cmd_oracle(args) -> int:
         )
         if res.satisfiable:
             print("SAT")
-            print("z: " + " ".join(str(int(b)) for b in res.witness))
+            print("z: " + emit_assignment(res.witness), end="")
             print(f"solutions: {res.n_solutions}")
         else:
             print("UNSAT")
@@ -289,7 +297,7 @@ def cmd_oracle(args) -> int:
         "instance": _instance_dict(inst, args.instance),
         "result": {
             "satisfiable": res.satisfiable,
-            "witness": [int(b) for b in res.witness] if res.witness is not None else None,
+            "witness": res.witness,
             "n_solutions": res.n_solutions,
         },
     }
@@ -342,7 +350,8 @@ def _ratio_grid(r_from: float, r_to: float, step: float):
 def cmd_sweep(args) -> int:
     if args.oracle and args.n_vars > args.cap:
         raise ValueError(f"--oracle needs N <= --cap, got n={args.n_vars} above cap {args.cap}")
-    cfg = _solver_config(args)
+    fields = dict(record_every=args.record_every)
+    cfg = _solver_config(args, **fields)
     grid = _ratio_grid(args.r_from, args.r_to, args.step)
     report = phase_sweep(
         args.n_vars,
@@ -362,7 +371,7 @@ def cmd_sweep(args) -> int:
             f"sweep: n={args.n_vars} r={_g9(args.r_from)}..{_g9(args.r_to)} step={_g9(args.step)} "
             f"per-r={args.per_r} budget={args.budget} oracle={str(args.oracle).lower()}"
         )
-        _echo_solver_config(cfg)
+        _echo_solver_config(cfg, **fields)
     rstar = r_star_estimate(report)
     if args.format == "json":
         doc = {
@@ -376,7 +385,7 @@ def cmd_sweep(args) -> int:
                 "base_seed": args.seed,
                 "oracle": args.oracle,
                 "oracle_cap": args.cap,
-                **_config_dict(cfg),
+                **_config_dict(cfg, **fields),
             },
             "rows": [
                 {
@@ -387,6 +396,7 @@ def cmd_sweep(args) -> int:
                     "solver_success_frac": row.solver_success_frac,
                     "oracle_sat_frac": row.oracle_sat_frac,
                     "mean_runs_to_success": row.mean_runs_to_success,
+                    "mean_winner_iterations": row.mean_winner_iterations,
                     "flow_counts": row.flow_counts,
                 }
                 for row in report.rows
@@ -410,7 +420,8 @@ def cmd_trace(args) -> int:
     if args.format == "csv" and not args.output:
         raise ValueError("trace in csv format needs --output (two files are written)")
     inst = _read_instance(args.instance)
-    cfg = _solver_config(args)
+    cfg = _solver_config(args, record_every=args.record_every)
+    fields = dict(seed=cfg.seed, restarts=args.restarts, record_every=cfg.record_every)
     f = CostFunction.from_instance(inst)
     outcome = solve_with_restarts(f, cfg, args.restarts, record=True)
     index = outcome.traced_index
@@ -420,8 +431,8 @@ def cmd_trace(args) -> int:
 
     machine = args.format == "json" and not args.output
     if not machine:
-        _echo(f"instance: {args.instance} n={inst.n_vars} m={inst.n_clauses} r={_g9(inst.ratio)}")
-        _echo_solver_config(cfg, args.restarts)
+        _echo_instance(inst, args.instance)
+        _echo_solver_config(cfg, **fields)
         _echo(f"traced run: {index} status: {run.status} iterations: {run.iterations}")
         _echo(
             f"starting-slope law: {slope_law_ok}/{inst.n_vars} variables "
@@ -435,7 +446,7 @@ def cmd_trace(args) -> int:
             "schema": 1,
             "command": "trace",
             "instance": _instance_dict(inst, args.instance),
-            "config": _config_dict(cfg, args.restarts),
+            "config": _config_dict(cfg, **fields),
             "run": {
                 "index": index,
                 "status": run.status,
@@ -446,9 +457,9 @@ def cmd_trace(args) -> int:
                 "slope_law_ok": slope_law_ok,
             },
             "trajectory": {
-                "iterations": [int(i) for i in run.trajectory.iterations],
-                "F": list(run.trajectory.costs),
-                "snapshots": [list(row) for row in run.trajectory.snapshots],
+                "iterations": run.trajectory.iterations,
+                "F": run.trajectory.costs,
+                "snapshots": run.trajectory.snapshots,
             },
             "labels": [
                 {"var": i + 1, "C_k": int(d), "label": str(lbl)}
@@ -498,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep: worker processes for the cells (results are identical for any "
         "value); solve and trace ignore it",
     )
-    solver_p.add_argument("--record-every", type=int, default=10, help="trajectory stride (trace, JSON sweep)")
 
     out_p = argparse.ArgumentParser(add_help=False)
     out_p.add_argument("-o", "--output", help="output file path")
@@ -543,11 +553,13 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--budget", type=int, default=5, help="runs per instance")
     w.add_argument("--oracle", action="store_true", help="record exact satisfiability (N <= cap)")
     w.add_argument("--cap", type=int, default=ORACLE_CAP)
+    w.add_argument("--record-every", type=int, default=10, help="trajectory stride (JSON sweep)")
     w.set_defaults(func=cmd_sweep)
 
     t = sub.add_parser("trace", parents=[solver_p, out_p, format_p], help="solve, recording the winning run; classify its flows and check the starting-slope law")
     t.add_argument("instance")
     t.add_argument("--restarts", type=int, default=10, help="maximum runs")
+    t.add_argument("--record-every", type=int, default=10, help="trajectory stride")
     t.set_defaults(func=cmd_trace)
 
     return parser

@@ -153,6 +153,7 @@ class SweepRow:
     oracle_sat_frac: float | None
     mean_runs_to_success: float | None
     flow_counts: dict = field(default_factory=dict)
+    mean_winner_iterations: float | None = None
 
 
 @dataclass
@@ -175,11 +176,13 @@ def _sweep_cell(args):
     sat = None
     if want_oracle and n_vars <= cap:
         sat = brute_force_oracle(inst, cap=cap).satisfiable
+    runs = iters = None
     counts = Counter()
-    if classify and outcome.solved:
-        counts.update(classify_flows(outcome.winner.trajectory))
-    runs = len(outcome.results) if outcome.solved else None
-    return runs, sat, counts
+    if outcome.solved:
+        runs, iters = len(outcome.results), outcome.winner.iterations
+        if classify:
+            counts.update(classify_flows(outcome.winner.trajectory))
+    return runs, iters, sat, counts
 
 
 def phase_sweep(
@@ -201,10 +204,10 @@ def phase_sweep(
     that, so every cell is reproducible in isolation and the report is
     bitwise identical for any worker count. Records the solver success
     fraction under the run budget, exact satisfiability when N is within the
-    oracle cap, mean runs-to-success among solved cells, and, with
-    `classify`, the flow-family populations of the winning runs. The cells
-    spread over min(workers, cells) processes; one runs them in this one,
-    and a count below one is a ValueError.
+    oracle cap, the mean runs-to-success and mean winner iterations among
+    solved cells, and, with `classify`, the flow-family populations of the
+    winning runs. The cells spread over min(workers, cells) processes; one
+    runs them in this one, and a count below one is a ValueError.
     """
     if instances_per_r < 1:
         raise ValueError("instances_per_r must be at least 1")
@@ -247,10 +250,11 @@ def phase_sweep(
     rows = []
     for i, (r, m) in enumerate(plan):
         chunk = outcomes[i * instances_per_r : (i + 1) * instances_per_r]
-        runs = [ru for ru, _, _ in chunk if ru is not None]
-        sats = [sa for _, sa, _ in chunk if sa is not None]
+        runs = [ru for ru, _, _, _ in chunk if ru is not None]
+        iters = [it for _, it, _, _ in chunk if it is not None]
+        sats = [sa for _, _, sa, _ in chunk if sa is not None]
         counts = Counter()
-        for _, _, c in chunk:
+        for _, _, _, c in chunk:
             counts.update(c)
         rows.append(
             SweepRow(
@@ -262,6 +266,7 @@ def phase_sweep(
                 oracle_sat_frac=(sum(sats) / len(sats)) if sats else None,
                 mean_runs_to_success=(sum(runs) / len(runs)) if runs else None,
                 flow_counts=dict(counts),
+                mean_winner_iterations=(sum(iters) / len(iters)) if iters else None,
             )
         )
     return SweepReport(rows)

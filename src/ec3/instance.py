@@ -52,7 +52,8 @@ class Instance:
 
 
 def make_instance(n_vars, clauses) -> Instance:
-    """Validate a clause list and build an Instance.
+    """Validate a clause list and build an Instance from a copy of it, so
+    the caller's array stays writable and its own.
 
     Raises ValueError for out-of-range or repeated indices; duplicate clauses
     (as unordered triples) are accepted with a warning.
@@ -67,7 +68,7 @@ def make_instance(n_vars, clauses) -> Instance:
     # checked before the int32 cast, which would overflow on a huge index
     if arr.size and (arr.min() < 1 or arr.max() > n_vars):
         raise ValueError(f"variable index out of range [1, {n_vars}]")
-    arr = arr.astype(np.int32, copy=False)
+    arr = arr.astype(np.int32)  # always a copy
     seen = {}
     for i, row in enumerate(arr):
         if len(set(row.tolist())) != 3:

@@ -88,9 +88,11 @@ def test_generate_has_no_format_option(capsys):
         for fmt in ("json", "csv"):
             assert main([command, REF15, "--format", fmt]) == 2
             assert "--format" in capsys.readouterr().err
-    # trace is the one command that writes a trajectory
-    assert main(["solve", REF15, "--trace", "x.csv"]) == 2
-    assert "--trace" in capsys.readouterr().err
+    # trace is the one command that writes a trajectory, so solve takes
+    # neither a trace file nor its stride
+    for flag, value in (("--trace", "x.csv"), ("--record-every", "5")):
+        assert main(["solve", REF15, flag, value]) == 2
+        assert flag in capsys.readouterr().err
 
 
 # --- solve --------------------------------------------------------------------
@@ -296,6 +298,17 @@ def test_sweep_json_document(capsys):
     assert "r_star" in doc
     for row in doc["rows"]:
         assert 0.0 <= row["solver_success_frac"] <= 1.0
+
+
+def test_sweep_json_winner_iterations(capsys):
+    # at r = 1 no cell solves: the row's means are null, like its runs
+    argv = SWEEP_ARGS + ["--r-to", "1.0", "--step", "0.75", "--format", "json"]
+    assert main(argv) == 0
+    solved, unsolved = json.loads(capsys.readouterr().out)["rows"]
+    assert solved["solver_success_frac"] > 0 and solved["mean_winner_iterations"] >= 1
+    assert unsolved["r"] == 1 and unsolved["solver_success_frac"] == 0
+    assert unsolved["mean_runs_to_success"] is None
+    assert unsolved["mean_winner_iterations"] is None
 
 
 def test_sweep_bad_grid(capsys, monkeypatch):

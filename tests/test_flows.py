@@ -222,8 +222,8 @@ def test_phase_sweep_worker_invariance():
     write_sweep_csv(a, sa)
     write_sweep_csv(b, sb)
     assert sa.getvalue() == sb.getvalue()
-    for ra, rb in zip(a.rows, b.rows):
-        assert ra.flow_counts == rb.flow_counts
+    # whole rows, the JSON-only fields included
+    assert a == b
 
 
 def test_phase_sweep_pool_is_bounded_by_its_cells(monkeypatch):
@@ -257,12 +257,12 @@ def test_phase_sweep_pool_is_bounded_by_its_cells(monkeypatch):
 
 
 def reference_flow_counts(n_vars, r_grid, instances_per_r, config, run_budget, base_seed):
-    """Per-ratio flow-family counts the way sweeps once made them: solve
-    each cell without recording, then descend the winner again with
-    `rerun_with_trajectory` and classify that."""
+    """Per-ratio (flow-family counts, mean winner iterations) the way sweeps
+    once made them: solve each cell without recording, then descend the
+    winner again with `rerun_with_trajectory` and classify that."""
     rows = []
     for i, r in enumerate(r_grid):
-        counts = {}
+        counts, iters = {}, []
         for j in range(instances_per_r):
             inst_seed = derive_run_seed(base_seed, (i << 32) | j)
             cfg = replace(config, seed=mix64(inst_seed))
@@ -271,10 +271,11 @@ def reference_flow_counts(n_vars, r_grid, instances_per_r, config, run_budget, b
             )
             out = solve_with_restarts(f, cfg, run_budget)
             if out.solved:
+                iters.append(out.winner.iterations)
                 rerun = rerun_with_trajectory(f, cfg, out.winner_index)
                 for lbl in classify_flows(rerun.trajectory):
                     counts[lbl] = counts.get(lbl, 0) + 1
-        rows.append(counts)
+        rows.append((counts, sum(iters) / len(iters) if iters else None))
     return rows
 
 
@@ -283,8 +284,9 @@ def test_phase_sweep_flow_counts_match_rerun(n_vars, grid):
     cfg = SolverConfig(record_every=3)
     rep = phase_sweep(n_vars, grid, 6, cfg, run_budget=4, base_seed=11, use_oracle=False)
     want = reference_flow_counts(n_vars, grid, 6, cfg, 4, 11)
-    assert [row.flow_counts for row in rep.rows] == want
-    assert any(want)  # some cell solved and was classified
+    # floats compared with ==: the means must agree bit for bit
+    assert [(row.flow_counts, row.mean_winner_iterations) for row in rep.rows] == want
+    assert any(counts for counts, _ in want)  # some cell solved and was classified
 
 
 def test_phase_sweep_grid_validation():

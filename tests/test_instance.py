@@ -155,6 +155,14 @@ def test_instance_error_messages(build, message):
         build()
 
 
+def test_make_instance_copies_its_input():
+    a = np.array([[1, 2, 3]], dtype=np.int32)
+    inst = make_instance(3, a)
+    assert a.flags.writeable
+    assert inst.clauses is not a
+    assert not inst.clauses.flags.writeable
+
+
 def test_parse_rejects_repeated_index_within_clause():
     with pytest.raises(ValueError, match="repeats"):
         parse_instance("p ec3 3 1\n1 1 3\n")

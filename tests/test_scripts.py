@@ -1,4 +1,6 @@
-"""Smoke tests: each experiment script runs to completion on a tiny input.
+"""Smoke tests of the two scripts beside the CLI: the descent-step timer
+`scripts/bench_descent.py` and the benchmark's self-test, each run to
+completion on a tiny input. Every experiment runs through `ec3` itself.
 
 The scripts put `src` on the path relative to the working directory, so
 they run from the repository root."""
@@ -16,12 +18,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
     "argv",
     [
         ["scripts/bench_descent.py", "--sizes", "24:12", "--widths", "1,2", "--steps", "5", "--reps", "1"],
-        ["scripts/run_scaling_demo.py", "--sizes", "15:8", "--trials", "1", "--restarts", "2"],
         # the benchmark's own self-test: it fails if a change breaks a flag
         # the benchmark passes or a name its tracer resolves
         ["perfbench/selftest.py"],
     ],
-    ids=["bench_descent", "run_scaling_demo", "perfbench_selftest"],
+    ids=["bench_descent", "perfbench_selftest"],
 )
 def test_script_runs(argv):
     proc = subprocess.run(
