@@ -36,6 +36,7 @@ import math
 import os
 import sys
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 
@@ -80,18 +81,12 @@ def dumps17(obj, indent: int = 2) -> str:
     def render(o, level):
         pad = " " * (indent * level)
         pad_in = " " * (indent * (level + 1))
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
+        if o is None or isinstance(o, (bool, str)):
+            return json.dumps(o)
         if isinstance(o, (int, np.integer)):
             return str(int(o))
         if isinstance(o, (float, np.floating)):
             return _g17(o)
-        if isinstance(o, str):
-            return json.dumps(o)
         if isinstance(o, dict):
             if not o:
                 return "{}"
@@ -261,13 +256,7 @@ def cmd_solve(args) -> int:
                 }
                 for r in outcome.results
             ],
-            "stats": {
-                "runs_attempted": stats.runs_attempted,
-                "successes": stats.successes,
-                "q_hat": stats.q_hat,
-                "n_s_hat": stats.n_s_hat,
-                "sigma_hat": stats.sigma_hat,
-            },
+            "stats": asdict(stats),
         },
     }
     _write_output(args, dumps17(doc))
@@ -295,11 +284,7 @@ def cmd_oracle(args) -> int:
         "schema": 1,
         "command": "oracle",
         "instance": _instance_dict(inst, args.instance),
-        "result": {
-            "satisfiable": res.satisfiable,
-            "witness": res.witness,
-            "n_solutions": res.n_solutions,
-        },
+        "result": asdict(res),
     }
     _write_output(args, dumps17(doc))
     return 0 if res.satisfiable else 1
@@ -310,7 +295,7 @@ def cmd_verify(args) -> int:
     with open(args.assignment) as fh:
         z = parse_assignment(fh.read(), inst.n_vars)
     res = check_assignment(inst, z)
-    _echo(f"instance: {args.instance} n={inst.n_vars} m={inst.n_clauses}")
+    _echo_instance(inst, args.instance)
     _echo(f"assignment: {args.assignment}")
     if res.satisfied:
         print("satisfied")
@@ -339,7 +324,9 @@ def _ratio_grid(r_from: float, r_to: float, step: float):
         span = (r_to - r_from) / step
         if not math.isfinite(span):
             raise ValueError(f"step={step!r} is too small: the grid has no finite point count")
-        count = math.floor(span + 0.5) + 1
+        # the last point is the largest r-from + k·step not above r-to; the
+        # 1e-9 absorbs the float error of the division
+        count = math.floor(span + 1e-9) + 1
         ends = (r_from, round(r_from + (count - 1) * step, _GRID_DIGITS))
     for r in ends:
         if not 0.0 < r <= 1.0:

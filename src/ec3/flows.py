@@ -29,6 +29,7 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -168,10 +169,13 @@ def clause_count_for_ratio(r: float, n_vars: int) -> int:
     return int(math.floor(r * n_vars + 0.5))
 
 
-def _sweep_cell(args):
-    n_vars, m, inst_seed, config, budget, want_oracle, cap, classify = args
+def _sweep_cell(n_vars, config, budget, want_oracle, cap, classify, cell):
+    """Solve cell `(M, instance seed)` with solver seed mix64(instance seed):
+    (runs, winner iterations, oracle SAT, flow counts), None where it has none."""
+    m, inst_seed = cell
     inst = generate_instance(n_vars, m, inst_seed)
     f = CostFunction.from_instance(inst)
+    config = replace(config, seed=mix64(inst_seed))
     outcome = solve_with_restarts(f, config, budget, record=classify)
     sat = None
     if want_oracle and n_vars <= cap:
@@ -183,6 +187,12 @@ def _sweep_cell(args):
         if classify:
             counts.update(classify_flows(outcome.winner.trajectory))
     return runs, iters, sat, counts
+
+
+def _mean(values):
+    """Mean of the values that are not None; None when there are none."""
+    present = [v for v in values if v is not None]
+    return sum(present) / len(present) if present else None
 
 
 def phase_sweep(
@@ -199,15 +209,16 @@ def phase_sweep(
 ) -> SweepReport:
     """Solve random instances across a grid of ratios r with M = round(r·N).
 
-    Per grid cell (r index i, instance index j) the instance seed is
-    base_seed XOR mix64((i << 32) | j) and the restart base seed is mix64 of
-    that, so every cell is reproducible in isolation and the report is
-    bitwise identical for any worker count. Records the solver success
-    fraction under the run budget, exact satisfiability when N is within the
-    oracle cap, the mean runs-to-success and mean winner iterations among
-    solved cells, and, with `classify`, the flow-family populations of the
-    winning runs. The cells spread over min(workers, cells) processes; one
-    runs them in this one, and a count below one is a ValueError.
+    A cell is a function of its grid position (r index i, instance index j):
+    its instance seed is base_seed XOR mix64((i << 32) | j) and its solver
+    seed mix64 of that, so every cell is reproducible in isolation and the
+    report is bitwise identical for any worker count. Records the solver
+    success fraction under the run budget, exact satisfiability when N is
+    within the oracle cap, the mean runs-to-success and mean winner
+    iterations among solved cells (None when there is none), and, with
+    `classify`, the flow-family populations of the winning runs. The cells
+    spread over min(workers, cells) processes; one runs them in this one,
+    and a count below one is a ValueError.
     """
     if instances_per_r < 1:
         raise ValueError("instances_per_r must be at least 1")
@@ -229,44 +240,36 @@ def phase_sweep(
             raise ValueError(f"ratio r={r} needs {m} distinct clauses; N={n_vars} has too few")
         plan.append((r, m))
 
-    cells = []
-    for i, (r, m) in enumerate(plan):
-        for j in range(instances_per_r):
-            inst_seed = derive_run_seed(base_seed, (i << 32) | j)
-            cell_cfg = replace(config, seed=mix64(inst_seed))
-            cells.append(
-                (n_vars, m, inst_seed, cell_cfg, run_budget, use_oracle, oracle_cap, classify)
-            )
-
+    cells = [
+        (m, derive_run_seed(base_seed, (i << 32) | j))
+        for i, (r, m) in enumerate(plan)
+        for j in range(instances_per_r)
+    ]
+    cell = partial(_sweep_cell, n_vars, config, run_budget, use_oracle, oracle_cap, classify)
     # a fork-started pool forks all its workers at the first submit, so
     # never ask for more than there are cells
     workers = min(workers, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_cell, cells, chunksize=4))
+            outcomes = list(pool.map(cell, cells, chunksize=4))
     else:
-        outcomes = [_sweep_cell(c) for c in cells]
+        outcomes = [cell(c) for c in cells]
 
     rows = []
     for i, (r, m) in enumerate(plan):
         chunk = outcomes[i * instances_per_r : (i + 1) * instances_per_r]
-        runs = [ru for ru, _, _, _ in chunk if ru is not None]
-        iters = [it for _, it, _, _ in chunk if it is not None]
-        sats = [sa for _, _, sa, _ in chunk if sa is not None]
-        counts = Counter()
-        for _, _, _, c in chunk:
-            counts.update(c)
+        runs, iters, sats, counts = zip(*chunk)
         rows.append(
             SweepRow(
                 r=r,
                 n_clauses=m,
                 n_vars=n_vars,
                 instances=instances_per_r,
-                solver_success_frac=len(runs) / instances_per_r,
-                oracle_sat_frac=(sum(sats) / len(sats)) if sats else None,
-                mean_runs_to_success=(sum(runs) / len(runs)) if runs else None,
-                flow_counts=dict(counts),
-                mean_winner_iterations=(sum(iters) / len(iters)) if iters else None,
+                solver_success_frac=sum(ru is not None for ru in runs) / instances_per_r,
+                oracle_sat_frac=_mean(sats),
+                mean_runs_to_success=_mean(runs),
+                flow_counts=dict(sum(counts, Counter())),
+                mean_winner_iterations=_mean(iters),
             )
         )
     return SweepReport(rows)

@@ -146,44 +146,42 @@ def round_point(x: np.ndarray, stop_tol: float) -> np.ndarray:
     return np.where(x >= 0.5 - stop_tol, 0, 1).astype(np.uint8)
 
 
-def sample_start(n_vars: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random point on the sphere of the given radius centered at
-    (1/2, …, 1/2). Points within 1e-9 of the saddle (2/3, …, 2/3) are
-    redrawn — unreachable at the default radius (the saddle sits at distance
-    √N/6) but enforced for general radii. Each coordinate deviates from 1/2
-    by about radius/√N, the regime of the starting-slope law; the solver's
-    restarts use `restart_start` instead."""
+def _usable_start(n_vars: int, radius: float, propose) -> np.ndarray:
+    """The first `propose()` point strictly inside the unit hypercube and at
+    least 1e-9 from the saddle (2/3, …, 2/3); None asks for a redraw."""
     if not 0 < radius < 0.5:
         raise ValueError("radius must lie in (0, 1/2)")
     saddle = np.full(n_vars, SADDLE_COORD)
     while True:
+        x = propose()
+        if x is not None and bool(np.all((x > 0.0) & (x < 1.0))):
+            if np.linalg.norm(x - saddle) >= _SADDLE_EXCLUSION:
+                return x
+
+
+def sample_start(n_vars: int, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """Uniform random point on the sphere of the given radius centered at
+    (1/2, …, 1/2). A zero normal draw, and a point not strictly inside the
+    unit hypercube (radii within rounding of 1/2) or within 1e-9 of the
+    saddle (2/3, …, 2/3, at distance √N/6), are redrawn. Each coordinate
+    deviates from 1/2 by about radius/√N, the regime of the starting-slope
+    law; the solver's restarts use `restart_start` instead."""
+
+    def on_sphere():
         v = rng.normal(size=n_vars)
         norm = np.linalg.norm(v)
-        if norm == 0.0:
-            continue
-        x = 0.5 + (radius / norm) * v
-        if np.linalg.norm(x - saddle) < _SADDLE_EXCLUSION:
-            continue
-        return x
+        return 0.5 + (radius / norm) * v if norm else None
+
+    return _usable_start(n_vars, radius, on_sphere)
 
 
 def restart_start(n_vars: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """The solver's start law: each coordinate independently uniform on
     [1/2 − radius, 1/2 + radius], so the per-coordinate spread is the same
-    at every N. Starts not strictly inside the unit hypercube (possible only
-    for radii within rounding of 1/2, where 1/2 + radius rounds to 1) or
-    within 1e-9 of the saddle (2/3, …, 2/3) are redrawn; the saddle is
-    unreachable for radius < 1/6."""
-    if not 0 < radius < 0.5:
-        raise ValueError("radius must lie in (0, 1/2)")
-    saddle = np.full(n_vars, SADDLE_COORD)
-    while True:
-        x = rng.uniform(0.5 - radius, 0.5 + radius, size=n_vars)
-        if not bool(np.all((x > 0.0) & (x < 1.0))):
-            continue
-        if np.linalg.norm(x - saddle) < _SADDLE_EXCLUSION:
-            continue
-        return x
+    at every N. A start not strictly inside the unit hypercube (radii within
+    rounding of 1/2) or within 1e-9 of the saddle (2/3, …, 2/3, out of reach
+    for radius < 1/6) is redrawn, the rule `sample_start` shares."""
+    return _usable_start(n_vars, radius, lambda: rng.uniform(0.5 - radius, 0.5 + radius, n_vars))
 
 
 def bsgd_run(
@@ -224,14 +222,12 @@ _MAX_SNAPSHOTS = 1024
 
 
 class _Log:
-    """The sampled iterates X^(k+1) of one row: k ≤ 5, k a multiple of
-    `stride`, and the final k."""
+    """The sampled iterates X^(k+1) of one row, as (k + 1, F, X) triples:
+    k ≤ 5, k a multiple of `stride`, and the final k."""
 
     def __init__(self, stride: int, cost, x):
         self.stride = stride
-        self.iterations = [1]
-        self.costs = [float(cost)]
-        self.snapshots = [x.copy()]
+        self.samples = [(1, float(cost), x.copy())]
 
     def due(self, k: int) -> bool:
         """Whether the point after k updates is on the schedule."""
@@ -240,22 +236,18 @@ class _Log:
     def add(self, k: int, cost, x, final: bool = False) -> None:
         """Record the point after k updates if, once a full log is thinned,
         k is still on the schedule (a final point always is)."""
-        if len(self.iterations) == _MAX_SNAPSHOTS:
+        if len(self.samples) == _MAX_SNAPSHOTS:
             self.stride *= 2
-            keep = [p for p, it in enumerate(self.iterations) if self.due(it - 1)]
-            self.iterations = [self.iterations[p] for p in keep]
-            self.costs = [self.costs[p] for p in keep]
-            self.snapshots = [self.snapshots[p] for p in keep]
+            self.samples = [s for s in self.samples if self.due(s[0] - 1)]
         if final or self.due(k):
-            self.iterations.append(k + 1)
-            self.costs.append(float(cost))
-            self.snapshots.append(x.copy())
+            self.samples.append((k + 1, float(cost), x.copy()))
 
     def trajectory(self) -> Trajectory:
+        iterations, costs, snapshots = zip(*self.samples)
         return Trajectory(
-            iterations=np.array(self.iterations, dtype=np.int64),
-            costs=np.array(self.costs),
-            snapshots=np.array(self.snapshots),
+            iterations=np.array(iterations, dtype=np.int64),
+            costs=np.array(costs),
+            snapshots=np.array(snapshots),
             stride=self.stride,
         )
 
@@ -327,7 +319,7 @@ def _descend(
             res = results[r] = _finish(f, config, X[i], F[i], G[i], k, converged[i], certificate[i])
             if logs is not None:
                 if res.status == SOLVED or (r == 0 and keep_first):
-                    if logs[r].iterations[-1] != k + 1:
+                    if logs[r].samples[-1][0] != k + 1:
                         logs[r].add(k, F[i], X[i], final=True)
                 else:
                     logs[r] = None

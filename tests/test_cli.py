@@ -375,6 +375,20 @@ def test_sweep_ratios_are_checked_before_the_grid_is_built(capsys, monkeypatch):
         assert f"ratio r={bad} outside (0, 1]" in capsys.readouterr().err
     # the grid's rounded end point, not --r-to, is what must lie in (0, 1]
     assert _ratio_grid(0.5, 1.01, 0.1) == [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    # its last point is the largest r-from + k·step not above r-to, and a
+    # grid that ends on r-to up to float error keeps that point
+    assert _ratio_grid(0.3, 0.86, 0.1) == [0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+    assert _ratio_grid(0.5, 1.0, 0.3) == [0.5, 0.8]
+    assert _ratio_grid(0.25, 0.5, 0.05) == [0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
+    assert _ratio_grid(0.3, 0.9, 0.05) == [round(0.3 + 0.05 * i, 10) for i in range(13)]
+    assert _ratio_grid(0.4, 0.6, 0.1) == [0.4, 0.5, 0.6]
+
+
+def test_sweep_grid_stops_below_r_to(capsys):
+    # 0.5 + 2·0.3 = 1.1 would pass --r-to 1.0 and leave (0, 1]
+    argv = "sweep -n 12 --r-from 0.5 --r-to 1.0 --step 0.3 --per-r 1 --workers 1 --format json"
+    assert main(argv.split()) == 0
+    assert [row["r"] for row in json.loads(capsys.readouterr().out)["rows"]] == [0.5, 0.8]
 
 
 def classify_calls(monkeypatch):

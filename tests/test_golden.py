@@ -55,6 +55,7 @@ CASES = {
         "trace_unsat4.txt",
         {"flows.csv": "trace_unsat4.csv", "flows.labels.csv": "trace_unsat4.labels.csv"},
     ),
+    "verify-ref15": ("verify ref15.ec3 ref15.z".split(), 0, "verify_ref15.txt", {}),
     "sweep-csv": (SWEEP, 0, "sweep.csv", {}),
     "sweep-json": (SWEEP + ["--format", "json"], 0, "sweep.json", {}),
 }

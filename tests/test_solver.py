@@ -263,6 +263,12 @@ def test_sample_start_rejects_degenerate_and_saddle_draws():
     x = sample_start(1, 1.0 / 6.0, rng)  # radius reaching 2/3 in 1-D
     assert x[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert not rng.draws  # all three scripted draws consumed
+    # a radius within rounding of 1/2: 1/2 + radius rounds to 1.0, a face
+    # of the cube, which must be redrawn like the saddle
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        x = sample_start(1, 0.5 - 2.0**-54, rng)
+        assert 0.0 < x[0] < 1.0
 
 
 def test_sample_start_radius_range():
