@@ -5,16 +5,14 @@
     python scripts/bench_descent.py --sizes 1000:250 --widths 1,2,4,9
 
 Widths (a comma list of widths and lo-hi ranges): for each size, W runs of
-one instance descend side by side for a fixed number of steps (η is so
-small that no run stops before the cap), and each timing is divided by
-steps × W; the median and the minimum over --reps timings are printed.
-Width 1 is `bsgd_run`, which every version of the package has, so running
-this from another checkout with --widths 1 gives that version's
-one-run-at-a-time cost; wider batches need the batched engine. Each
-repetition also times the same descent recording every row on the default
-schedule (start, first five updates, every 10th, final; wider recording
-batches need an engine that records every row), and the recorded µs per
-run-iteration and its excess over the unrecorded median are printed too.
+one instance descend side by side through the descent engine (`_descend`;
+width 1 is a lone run) for a fixed number of steps (η is so small that no
+run stops before the cap), and each timing is divided by steps × W; the
+median and the minimum over --reps timings are printed. Each repetition
+also times the same descent recording on the default schedule (start,
+first five updates, every 10th, final) into the batch's one log, and the
+recorded µs per run-iteration and its excess over the unrecorded median
+are printed too.
 """
 
 import argparse
@@ -29,7 +27,6 @@ sys.path.insert(0, "src")
 from ec3 import (  # noqa: E402
     CostFunction,
     SolverConfig,
-    bsgd_run,
     generate_instance,
     restart_start,
 )
@@ -59,18 +56,14 @@ def step_times(n, m, widths, steps, reps):
     f = CostFunction.from_instance(generate_instance(n, m, 1))
     out = {}
     for width in widths:
-        starts = [restart_start(n, cfg.start_radius, np.random.default_rng(i)) for i in range(width)]
-
-        def step(record):
-            if width == 1:
-                return [bsgd_run(f, cfg, starts[0], record=record)]
-            return _descend(f, cfg, np.array(starts), record)
-
+        starts = np.array(
+            [restart_start(n, cfg.start_radius, np.random.default_rng(i)) for i in range(width)]
+        )
         times = {False: [], True: []}
         for _ in range(reps):
             for record in times:
                 t0 = time.perf_counter()
-                results = step(record)
+                results = _descend(f, cfg, starts, record)
                 times[record].append(time.perf_counter() - t0)
                 if any(r is not None and r.iterations != steps for r in results):
                     sys.exit("a run stopped before the step cap; the timing would be wrong")

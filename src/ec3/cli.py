@@ -13,7 +13,8 @@ or JSON with --format. trace is the one command that writes a run's
 trajectory: solve reports results only.
 
 Exit codes: 0 = solved / SAT / report written, 1 = not solved within the
-run budget or UNSAT, 2 = usage or input error.
+run budget or UNSAT, 2 = usage or input error. An -o path that cannot be
+opened for writing is an input error before the command does any work.
 
 --restarts is the run budget of solve and trace; a sweep's is --budget,
 runs per instance. --record-every, the trajectory stride, belongs to the
@@ -164,6 +165,15 @@ def _instance_dict(instance, path: str) -> dict:
         "r": instance.ratio,
         "path": path,
     }
+
+
+def _check_writable(path: str) -> None:
+    """Open `path` for writing without truncating it, so that a bad -o
+    fails before the work; a file made only for this check is removed."""
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _write_output(args, text: str) -> None:
@@ -454,6 +464,8 @@ def cmd_trace(args) -> int:
             ],
         }
         _write_output(args, dumps17(doc))
+        if args.output:
+            _echo(f"wrote {args.output}")
     else:
         base = args.output[:-4] if args.output.endswith(".csv") else args.output
         labels_path = base + ".labels.csv"
@@ -461,8 +473,7 @@ def cmd_trace(args) -> int:
             write_trajectory_csv(run.trajectory, fh)
         with open(labels_path, "w") as fh:
             write_labels_csv(labels, inst.clause_degree, fh)
-        if not machine:
-            _echo(f"wrote {args.output} and {labels_path}")
+        _echo(f"wrote {args.output} and {labels_path}")
     return 0 if outcome.solved else 1
 
 
@@ -559,6 +570,8 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse handles usage errors (2) and --help (0)
         return int(e.code or 0)
     try:
+        if getattr(args, "output", None):
+            _check_writable(args.output)
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -79,11 +79,10 @@ class CostFunction:
     def batch_index(self, r: int):
         """Gather and scatter indices for a batch of r rows: row b's entries
         are offset by b·N, so one bincount keeps the rows apart and still adds
-        each row's terms in clause order, a-terms first, as for one point.
-        Built afresh for r > 1; a caller that steps a batch of r rows many
-        times builds them once and passes them to `cost_and_gradient`."""
-        if r == 1:
-            return self._gather[:, :, None, :], self._scatter.ravel()
+        each row's terms in clause order, a-terms first, as for one point
+        (one row has offset 0). Built afresh on each call; a caller that
+        steps a batch of r rows many times builds them once and passes them
+        to `cost_and_gradient`."""
         offsets = self.n_vars * np.arange(r)[:, None]
         return (
             self._gather[:, :, None, :] + offsets,

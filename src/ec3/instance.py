@@ -170,6 +170,8 @@ def check_assignment(instance: Instance, z) -> CheckResult:
     z = np.asarray(z)
     if z.shape != (instance.n_vars,):
         raise ValueError(f"assignment length {z.shape} != n_vars {instance.n_vars}")
+    if not np.all((z == 0) | (z == 1)):
+        raise ValueError("assignment values must be 0 or 1")
     if instance.n_clauses == 0:
         return CheckResult(True, 0)
     sums = z.astype(np.int64)[instance.clauses - 1].sum(axis=1)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, vertex_point
+from .cost import CostFunction
 from .instance import check_assignment
 
 SADDLE_COORD = 2.0 / 3.0
@@ -204,10 +204,9 @@ def bsgd_run(
     F < 1, which proves satisfiability by the union bound regardless of
     whether this particular run rounds to a solution.
 
-    This is the descent engine on a batch of one. With `record`, the result
-    carries the run's Trajectory, thinned to a fixed snapshot budget on long
-    runs (see `_descend`); `rerun_with_trajectory` records a restart by its
-    index.
+    This is the descent engine on a batch of one; with `record`, the run's
+    Trajectory comes from that batch's log (see `_descend`), and
+    `rerun_with_trajectory` records a restart by its index.
     """
     x = np.asarray(start, dtype=np.float64)
     f._check_len(x)
@@ -215,35 +214,50 @@ def bsgd_run(
     return result
 
 
-# A recording row keeps at most this many snapshots. A full log drops every
+# A recording batch keeps at most this many samples. A full log drops every
 # other sample past the stride-1 head and doubles its stride, so a log holds
-# at most _MAX_SNAPSHOTS · N doubles however long its run.
+# at most _MAX_SNAPSHOTS samples of its live rows however long they run.
 _MAX_SNAPSHOTS = 1024
 
 
 class _Log:
-    """The sampled iterates X^(k+1) of one row, as (k + 1, F, X) triples:
-    k ≤ 5, k a multiple of `stride`, and the final k."""
+    """A batch's sampled iterates X^(k+1), k ≤ 5 or a multiple of `stride`,
+    as (k + 1, rows, F, X): `rows` names the row of `starts` behind each
+    row of F and X. Live rows step together, so one log serves them all,
+    and a row is in every sample taken while it was live."""
 
-    def __init__(self, stride: int, cost, x):
+    def __init__(self, stride: int, rows, F, X):
         self.stride = stride
-        self.samples = [(1, float(cost), x.copy())]
+        self.samples = [(1, rows, F, X)]
 
     def due(self, k: int) -> bool:
         """Whether the point after k updates is on the schedule."""
         return k <= 5 or k % self.stride == 0
 
-    def add(self, k: int, cost, x, final: bool = False) -> None:
-        """Record the point after k updates if, once a full log is thinned,
-        k is still on the schedule (a final point always is)."""
+    def _make_room(self) -> None:
+        """Thin a full log to the samples on a doubled stride."""
         if len(self.samples) == _MAX_SNAPSHOTS:
             self.stride *= 2
             self.samples = [s for s in self.samples if self.due(s[0] - 1)]
-        if final or self.due(k):
-            self.samples.append((k + 1, float(cost), x.copy()))
 
-    def trajectory(self) -> Trajectory:
-        iterations, costs, snapshots = zip(*self.samples)
+    def add(self, k: int, rows, F, X) -> None:
+        """Record the live rows after k updates if, once a full log is
+        thinned, k is still on the schedule."""
+        self._make_room()
+        if self.due(k):
+            self.samples.append((k + 1, rows, F, X))
+
+    def trajectory(self, r: int, k: int, cost, x) -> Trajectory:
+        """Row r's samples and its final point x, after k updates. A full
+        log thins first when that point was not sampled; the live rows
+        would thin alike at their next sample."""
+        final = [] if self.samples[-1][0] == k + 1 else [(k + 1, cost, x)]
+        if final:
+            self._make_room()
+        picked = [
+            (it, F[j], X[j]) for it, rows, F, X in self.samples for j in [np.searchsorted(rows, r)]
+        ]
+        iterations, costs, snapshots = zip(*picked, *final)
         return Trajectory(
             iterations=np.array(iterations, dtype=np.int64),
             costs=np.array(costs),
@@ -267,14 +281,13 @@ def _descend(
     after it is dropped (no run past a success is reported), and the rows
     before it run on. Returns one RunResult per row, None for a dropped row.
 
-    With `record`, every row records the start, the first five updates,
-    every `record_every`-th update and its final iterate, at most
-    `_MAX_SNAPSHOTS` of them (a full log thins to a doubled stride). The
-    results of the smallest Solved row and, with `keep_first` (a solve's
-    first batch, whose row 0 is traced when no run solves), of row 0 carry
-    their Trajectory; every other row's log is freed as soon as the row
-    finishes unsolved or is dropped. The logs thus hold at most
-    (live rows + 2) · _MAX_SNAPSHOTS · N · 8 bytes.
+    With `record`, one `_Log` samples the live rows at the start, the
+    first five updates and every `record_every`-th update, at most
+    `_MAX_SNAPSHOTS` samples (a full log thins to a doubled stride). A row
+    that ends Solved and, with `keep_first` (a solve's first batch, whose
+    row 0 is traced when no run solves), row 0 take their Trajectory from
+    the log as they stop, with their final iterate. The log holds at most
+    _MAX_SNAPSHOTS · R · N doubles and is freed when this returns.
     """
     X = np.array(starts, dtype=np.float64)
     if not bool(np.all((X > 0.0) & (X < 1.0))):
@@ -287,9 +300,8 @@ def _descend(
     certificate = F < 1.0  # the starts themselves are strictly interior
     rows = np.arange(len(X))  # the row of `starts` behind each live row
     results = [None] * len(X)
-    logs = None
-    if record:
-        logs = [_Log(config.record_every, F[i], X[i]) for i in range(len(X))]
+    # every step makes new X, F and rows arrays: the log keeps them uncopied
+    log = _Log(config.record_every, rows, F, X) if record else None
 
     k = 0
     while len(rows):
@@ -305,10 +317,8 @@ def _descend(
         low = F < 1.0
         if low.any():
             certificate |= low & np.all((X > 0.0) & (X < 1.0), axis=1)
-        # live rows have recorded the same steps, so they fill and thin together
-        if logs is not None and logs[rows[0]].due(k):
-            for j, r in enumerate(rows):
-                logs[r].add(k, F[j], X[j])
+        if log is not None and log.due(k):
+            log.add(k, rows, F, X)
         if delta.min() > config.stop_tol and k < config.max_iters:
             continue
         converged = delta <= config.stop_tol
@@ -317,24 +327,14 @@ def _descend(
         for i in np.flatnonzero(stopped):
             r = rows[i]
             res = results[r] = _finish(f, config, X[i], F[i], G[i], k, converged[i], certificate[i])
-            if logs is not None:
-                if res.status == SOLVED or (r == 0 and keep_first):
-                    if logs[r].samples[-1][0] != k + 1:
-                        logs[r].add(k, F[i], X[i], final=True)
-                else:
-                    logs[r] = None
+            if log is not None and (res.status == SOLVED or (r == 0 and keep_first)):
+                res.trajectory = log.trajectory(r, k, F[i], X[i])
             if res.status == SOLVED:
-                live &= rows < r
-                if logs is not None:  # no row after a success is reported
-                    logs[r + 1 :] = [None] * (len(logs) - r - 1)
+                live &= rows < r  # no row after a success is reported
                 break
         X, G, certificate, rows = X[live], G[live], certificate[live], rows[live]
         if len(rows):
             index = f.batch_index(len(rows))
-    if logs is not None:
-        for r, log in enumerate(logs):
-            if log is not None:
-                results[r].trajectory = log.trajectory()
     return results
 
 
@@ -342,7 +342,7 @@ def _finish(f, config, x, cost_now, grad, k, converged, certificate) -> RunResul
     """Round, verify and classify a run that stopped at x after k updates;
     `grad` is ∇F at x."""
     rounded = round_point(x, config.stop_tol)
-    vcost = f.cost(vertex_point(rounded))
+    vcost = f.vertex_cost(rounded)
     verdict = check_assignment(f.instance, rounded)
     if verdict.satisfied and vcost == 0.0:
         status = SOLVED

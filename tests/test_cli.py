@@ -333,6 +333,29 @@ def test_sweep_bad_grid(capsys, monkeypatch):
         assert captured.out == "", extra
 
 
+def test_bad_output_path_fails_before_the_work(capsys, monkeypatch, tmp_path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a command ran with an unwritable -o")
+
+    monkeypatch.setattr("ec3.flows._sweep_cell", no_work)
+    monkeypatch.setattr("ec3.cli.solve_with_restarts", no_work)
+    bad = str(tmp_path / "missing" / "out.csv")
+    sweep = ["sweep", "-n", "12", "--r-from", "0.25", "--r-to", "0.9", "--per-r", "5", "--workers", "1"]
+    for argv in (sweep, ["trace", REF15], ["trace", REF15, "--format", "json"], ["solve", REF15]):
+        assert main(argv + ["-o", bad]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == "", argv
+    # the check neither truncates a file nor leaves one behind when the
+    # command then fails
+    kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+    kept.write_text("keep me\n")
+    for out in (kept, new):
+        assert main(["solve", str(tmp_path / "absent.ec3"), "-o", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+    assert kept.read_text() == "keep me\n"
+    assert not new.exists()
+
+
 def test_sweep_has_no_restarts_option(capsys):
     # a sweep's run budget is --budget; --restarts would change nothing
     assert main(SWEEP_ARGS + ["--restarts", "3"]) == 2

@@ -43,6 +43,12 @@ CASES = {
         {"flows.csv": "trace_ref15.csv", "flows.labels.csv": "trace_ref15.labels.csv"},
     ),
     "trace-ref15-json": ("trace ref15.ec3 --format json".split(), 0, "trace_ref15.json", {}),
+    "trace-ref15-json-o": (
+        "trace ref15.ec3 --format json -o trace.json".split(),
+        0,
+        "trace_ref15_json.txt",
+        {"trace.json": "trace_ref15.json"},
+    ),
     "solve-unsat4-o": (
         "solve unsat4.ec3 --restarts 3 -o report.json".split(),
         1,

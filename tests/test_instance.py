@@ -248,6 +248,10 @@ def test_check_all_zeros_and_all_ones(ref15):
 def test_check_length_mismatch(ref15):
     with pytest.raises(ValueError, match="length"):
         check_assignment(ref15, np.zeros(14, np.uint8))
+    # values that are not bits: [2, -1, 0] sums to 1, and 0.5 truncated to 0
+    for z in ([2, -1, 0], [0.5, 0.5, 0]):
+        with pytest.raises(ValueError, match="assignment values must be 0 or 1"):
+            check_assignment(make_instance(3, [[1, 2, 3]]), np.array(z))
 
 
 # --- exact oracle ----------------------------------------------------------

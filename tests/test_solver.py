@@ -511,6 +511,48 @@ def test_trajectory_budget_at_every_run_length(monkeypatch, ref15_cost):
         assert_thinned_from(bsgd_run(ref15_cost, cfg, start, record=True).trajectory, reference, cap, 16)
 
 
+def full_log_skips(k, budget):
+    """Whether a stride-1 log of `budget` samples is full after k updates
+    and did not sample the k-th."""
+    kept, stride = [0], 1
+    for step in range(1, k + 1):
+        if step <= 5 or step % stride == 0:
+            if len(kept) == budget:
+                stride *= 2
+                kept = [j for j in kept if j <= 5 or j % stride == 0]
+            if step <= 5 or step % stride == 0:
+                kept.append(step)
+    return len(kept) == budget and kept[-1] != k
+
+
+def test_batch_log_thins_for_rows_that_stop_apart(monkeypatch):
+    # With a budget of 16 a batch's log thins many times. Scan (30, 13)
+    # solver seeds for a first batch (14 rows) that wins after row 0, where
+    # row 0 and the winner stop at different steps and the earlier of them
+    # stops on a step the full log did not sample: once row 0 first, once
+    # the winner first.
+    monkeypatch.setattr(ec3.solver, "_MAX_SNAPSHOTS", 16)
+    f = CostFunction.from_instance(generate_instance(30, 13, 0))
+    found = {}
+    for seed in range(64):
+        cfg = SolverConfig(seed=seed, record_every=1)
+        out = solve_with_restarts(f, cfg, max_runs=14)
+        if out.solved and out.winner_index > 0:
+            first, win = out.results[0].iterations, out.winner.iterations
+            if first != win and full_log_skips(min(first, win), 16):
+                found.setdefault(first < win, cfg)
+        if len(found) == 2:
+            break
+    else:
+        pytest.fail(f"solver seeds 0..63 gave such batches only for {sorted(found)}")
+    for cfg in found.values():
+        out = assert_recorded_solve_matches_rerun(f, cfg, 14)
+        for index in {0, out.winner_index}:
+            run = out.results[index]
+            reference = reference_run(f, cfg, _run_start(f, cfg, index), record=True)
+            assert_thinned_from(run.trajectory, reference.trajectory, run.iterations, 16)
+
+
 # --- restarts -----------------------------------------------------------------
 
 
