@@ -14,7 +14,8 @@ trajectory: solve reports results only.
 
 Exit codes: 0 = solved / SAT / report written, 1 = not solved within the
 run budget or UNSAT, 2 = usage or input error. An -o path that cannot be
-opened for writing is an input error before the command does any work.
+opened for writing, or a trace CSV's labels file beside it, is an input
+error before the command does any work.
 
 --restarts is the run budget of solve and trace; a sweep's is --budget,
 runs per instance. --record-every, the trajectory stride, belongs to the
@@ -174,6 +175,13 @@ def _check_writable(path: str) -> None:
     open(path, "a").close()
     if not existed:
         os.remove(path)
+
+
+def _labels_path(output: str) -> str:
+    """Where trace writes the flow labels beside its trajectory CSV:
+    X.csv becomes X.labels.csv, any other name gains .labels.csv."""
+    base = output[:-4] if output.endswith(".csv") else output
+    return base + ".labels.csv"
 
 
 def _write_output(args, text: str) -> None:
@@ -384,20 +392,7 @@ def cmd_sweep(args) -> int:
                 "oracle_cap": args.cap,
                 **_config_dict(cfg, **fields),
             },
-            "rows": [
-                {
-                    "r": row.r,
-                    "M": row.n_clauses,
-                    "N": row.n_vars,
-                    "instances": row.instances,
-                    "solver_success_frac": row.solver_success_frac,
-                    "oracle_sat_frac": row.oracle_sat_frac,
-                    "mean_runs_to_success": row.mean_runs_to_success,
-                    "mean_winner_iterations": row.mean_winner_iterations,
-                    "flow_counts": row.flow_counts,
-                }
-                for row in report.rows
-            ],
+            "rows": [asdict(row) for row in report.rows],
             "r_star": rstar,
         }
         _write_output(args, dumps17(doc))
@@ -467,8 +462,7 @@ def cmd_trace(args) -> int:
         if args.output:
             _echo(f"wrote {args.output}")
     else:
-        base = args.output[:-4] if args.output.endswith(".csv") else args.output
-        labels_path = base + ".labels.csv"
+        labels_path = _labels_path(args.output)
         with open(args.output, "w") as fh:
             write_trajectory_csv(run.trajectory, fh)
         with open(labels_path, "w") as fh:
@@ -490,16 +484,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solver_p = argparse.ArgumentParser(add_help=False)
-    solver_p.add_argument("--eta", type=float, default=0.005, help="gradient step size")
+    solver_p.add_argument("--eta", type=float, default=SolverConfig.eta, help="gradient step size")
     solver_p.add_argument(
         "--radius",
         type=float,
-        default=0.05,
+        default=SolverConfig.start_radius,
         help="start half-width: each coordinate uniform on [1/2 - radius, 1/2 + radius]",
     )
-    solver_p.add_argument("--max-iters", type=int, default=1_000_000)
-    solver_p.add_argument("--tol", type=float, default=1e-12, help="fixed-point displacement tolerance")
-    solver_p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    solver_p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    solver_p.add_argument("--tol", type=float, default=SolverConfig.stop_tol, help="fixed-point displacement tolerance")
+    solver_p.add_argument("--seed", type=int, default=SolverConfig.seed, help="base RNG seed")
     solver_p.add_argument(
         "--workers",
         type=int,
@@ -551,13 +545,13 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--budget", type=int, default=5, help="runs per instance")
     w.add_argument("--oracle", action="store_true", help="record exact satisfiability (N <= cap)")
     w.add_argument("--cap", type=int, default=ORACLE_CAP)
-    w.add_argument("--record-every", type=int, default=10, help="trajectory stride (JSON sweep)")
+    w.add_argument("--record-every", type=int, default=SolverConfig.record_every, help="trajectory stride (JSON sweep)")
     w.set_defaults(func=cmd_sweep)
 
     t = sub.add_parser("trace", parents=[solver_p, out_p, format_p], help="solve, recording the winning run; classify its flows and check the starting-slope law")
     t.add_argument("instance")
     t.add_argument("--restarts", type=int, default=10, help="maximum runs")
-    t.add_argument("--record-every", type=int, default=10, help="trajectory stride")
+    t.add_argument("--record-every", type=int, default=SolverConfig.record_every, help="trajectory stride")
     t.set_defaults(func=cmd_trace)
 
     return parser
@@ -572,6 +566,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "output", None):
             _check_writable(args.output)
+            # a trace CSV writes its flow labels beside the -o file
+            if args.command == "trace" and args.format == "csv":
+                _check_writable(_labels_path(args.output))
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -49,7 +49,7 @@ from .solver import rerun_with_trajectory  # noqa: F401
 FAMILIES = ("I", "II-up", "II-down", "III-up", "III-down", "IV", "V", "Irregular")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassifierConfig:
     high: float = 0.99            # "ends at 1" threshold
     low: float = 0.01             # "ends at 0" threshold
@@ -106,11 +106,9 @@ def classify_flows(trajectory: Trajectory, config: ClassifierConfig = _DEFAULT_C
     s = trajectory.snapshots
     if s.shape[0] < 2:
         raise ValueError("need at least 2 snapshots to classify flows")
-    t, n = s.shape
+    t = s.shape[0]
     cfg = config
     start, final = s[0], s[-1]
-    labels = np.full(n, "Irregular", dtype=object)
-    assigned = np.zeros(n, dtype=bool)
 
     deviation = np.max(np.abs(s - start), axis=0)
     ends_up = final >= cfg.high
@@ -127,21 +125,19 @@ def classify_flows(trajectory: Trajectory, config: ClassifierConfig = _DEFAULT_C
     reversal = np.clip(np.diff(s, axis=0), None, 0.0).sum(axis=0)
     monotone_up = reversal >= -cfg.monotone_slack
 
-    def take(mask, label):
-        sel = mask & ~assigned
-        labels[sel] = label
-        assigned[sel] = True
-
-    take(deviation < cfg.stationary_tol, "V")
     split = rose_out & (half_dwell >= cfg.plateau_frac)
-    take(split & ends_up, "III-up")
-    take(split & ends_down, "III-down")
     plateau2 = (peak >= cfg.rise_threshold) & (two_thirds_dwell >= cfg.plateau_frac)
-    take(plateau2 & ends_up, "II-up")
-    take(plateau2 & ends_down, "II-down")
-    take(monotone_up & ends_up, "I")
-    take(ends_down & (peak >= start + cfg.plateau_band), "IV")
-    return labels.astype(str)
+    # in decision order: a variable takes the first label whose mask holds
+    rules = {
+        "V": deviation < cfg.stationary_tol,
+        "III-up": split & ends_up,
+        "III-down": split & ends_down,
+        "II-up": plateau2 & ends_up,
+        "II-down": plateau2 & ends_down,
+        "I": monotone_up & ends_up,
+        "IV": ends_down & (peak >= start + cfg.plateau_band),
+    }
+    return np.select(list(rules.values()), list(rules), default="Irregular")
 
 
 @dataclass
@@ -153,8 +149,8 @@ class SweepRow:
     solver_success_frac: float
     oracle_sat_frac: float | None
     mean_runs_to_success: float | None
-    flow_counts: dict = field(default_factory=dict)
     mean_winner_iterations: float | None = None
+    flow_counts: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -268,8 +264,8 @@ def phase_sweep(
                 solver_success_frac=sum(ru is not None for ru in runs) / instances_per_r,
                 oracle_sat_frac=_mean(sats),
                 mean_runs_to_success=_mean(runs),
-                flow_counts=dict(sum(counts, Counter())),
                 mean_winner_iterations=_mean(iters),
+                flow_counts=dict(sum(counts, Counter())),
             )
         )
     return SweepReport(rows)

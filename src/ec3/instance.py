@@ -55,8 +55,8 @@ def make_instance(n_vars, clauses) -> Instance:
     """Validate a clause list and build an Instance from a copy of it, so
     the caller's array stays writable and its own.
 
-    Raises ValueError for out-of-range or repeated indices; duplicate clauses
-    (as unordered triples) are accepted with a warning.
+    Raises ValueError for out-of-range, non-integer or repeated indices;
+    duplicate clauses (as unordered triples) are accepted with a warning.
     """
     if n_vars < 1:
         raise ValueError(f"n_vars must be >= 1, got {n_vars}")
@@ -66,8 +66,11 @@ def make_instance(n_vars, clauses) -> Instance:
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("clauses must be an (M, 3) array of variable indices")
     # checked before the int32 cast, which would overflow on a huge index
+    # and truncate a fractional one
     if arr.size and (arr.min() < 1 or arr.max() > n_vars):
         raise ValueError(f"variable index out of range [1, {n_vars}]")
+    if arr.size and np.any(arr % 1 != 0):
+        raise ValueError("variable indices must be integers")
     arr = arr.astype(np.int32)  # always a copy
     seen = {}
     for i, row in enumerate(arr):
@@ -172,8 +175,6 @@ def check_assignment(instance: Instance, z) -> CheckResult:
         raise ValueError(f"assignment length {z.shape} != n_vars {instance.n_vars}")
     if not np.all((z == 0) | (z == 1)):
         raise ValueError("assignment values must be 0 or 1")
-    if instance.n_clauses == 0:
-        return CheckResult(True, 0)
     sums = z.astype(np.int64)[instance.clauses - 1].sum(axis=1)
     unsat = int(np.count_nonzero(sums != 1))
     return CheckResult(unsat == 0, unsat)

@@ -39,6 +39,7 @@ for a target confidence (k = 11 leaves less than 1%).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,7 @@ def derive_run_seed(base_seed: int, run_index: int) -> int:
     return (base_seed ^ mix64(run_index)) & _MASK64
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     eta: float = 0.005          # gradient step size
     start_radius: float = 0.05  # per-coordinate start half-width around 1/2
@@ -94,10 +95,11 @@ class SolverConfig:
             raise ValueError("start_radius must lie in (0, 1/2)")
         if not 0 <= self.stop_tol < math.inf:
             raise ValueError("stop_tol must be nonnegative and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
+        # a fractional count would run or sample one step past its value
+        for name in ("max_iters", "record_every"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import shlex
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import ec3.flows
 from ec3 import (
     CostFunction,
     SolverConfig,
+    SweepRow,
     check_assignment,
     classify_flows,
     make_instance,
@@ -298,6 +300,8 @@ def test_sweep_json_document(capsys):
     assert "r_star" in doc
     for row in doc["rows"]:
         assert 0.0 <= row["solver_success_frac"] <= 1.0
+        # each row is the SweepRow as it is
+        assert list(row) == [f.name for f in fields(SweepRow)]
 
 
 def test_sweep_json_winner_iterations(capsys):
@@ -354,6 +358,13 @@ def test_bad_output_path_fails_before_the_work(capsys, monkeypatch, tmp_path):
         assert "error: " in capsys.readouterr().err
     assert kept.read_text() == "keep me\n"
     assert not new.exists()
+    # a trace CSV's labels file is checked with it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "flows.labels.csv").mkdir()
+    assert main(["trace", REF15, "-o", "flows.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not (tmp_path / "flows.csv").exists()
 
 
 def test_sweep_has_no_restarts_option(capsys):

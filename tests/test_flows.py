@@ -1,5 +1,5 @@
 import io
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -141,6 +141,89 @@ def test_classifier_thresholds_are_adjustable():
     cfg = ClassifierConfig(stationary_tol=10.0)
     t = synth([flow_I(), flow_IV(), flow_irregular()])
     assert classify_flows(t, cfg).tolist() == ["V", "V", "V"]
+
+
+def reference_classify_flows(trajectory, cfg):
+    """Rule by rule: each rule labels the variables that no earlier rule took."""
+    s = trajectory.snapshots
+    t, n = s.shape
+    start, final = s[0], s[-1]
+    labels = np.full(n, "Irregular", dtype=object)
+    assigned = np.zeros(n, dtype=bool)
+
+    deviation = np.max(np.abs(s - start), axis=0)
+    ends_up = final >= cfg.high
+    ends_down = final <= cfg.low
+    peak = s.max(axis=0)
+
+    above_half = s > 0.5 + cfg.plateau_band
+    rose_out = above_half.any(axis=0)
+    first_exit = np.where(rose_out, above_half.argmax(axis=0), t)
+    after_exit = np.arange(t)[:, None] > first_exit[None, :]
+    half_dwell = ((np.abs(s - 0.5) <= cfg.plateau_band) & after_exit).sum(axis=0) / t
+    two_thirds_dwell = (np.abs(s - 2.0 / 3.0) <= cfg.plateau_band).mean(axis=0)
+
+    reversal = np.clip(np.diff(s, axis=0), None, 0.0).sum(axis=0)
+    monotone_up = reversal >= -cfg.monotone_slack
+
+    def take(mask, label):
+        sel = mask & ~assigned
+        labels[sel] = label
+        assigned[sel] = True
+
+    take(deviation < cfg.stationary_tol, "V")
+    split = rose_out & (half_dwell >= cfg.plateau_frac)
+    take(split & ends_up, "III-up")
+    take(split & ends_down, "III-down")
+    plateau2 = (peak >= cfg.rise_threshold) & (two_thirds_dwell >= cfg.plateau_frac)
+    take(plateau2 & ends_up, "II-up")
+    take(plateau2 & ends_down, "II-down")
+    take(monotone_up & ends_up, "I")
+    take(ends_down & (peak >= start + cfg.plateau_band), "IV")
+    return labels.astype(str)
+
+
+def random_flows(rng):
+    """T in 2..80 snapshots of N in 1..40 drifting random walks from near
+    1/2, clipped to [0, 1]; a tenth of the variables stand still, and half
+    dwell for a random stretch near 1/2 or 2/3."""
+    t, n = int(rng.integers(2, 81)), int(rng.integers(1, 41))
+    start = 0.5 + rng.uniform(-0.05, 0.05, size=n)
+    steps = rng.uniform(-0.03, 0.03, size=n) + rng.normal(0.0, rng.uniform(0.005, 0.05), size=(t - 1, n))
+    s = np.clip(np.vstack([start, start + np.cumsum(steps, axis=0)]), 0.0, 1.0)
+    for k in range(n):
+        u = rng.random()
+        if u < 0.1:
+            s[:, k] = start[k]
+        elif u < 0.6:
+            a, b = np.sort(rng.integers(0, t, size=2))
+            level = (0.5, 2 / 3)[rng.integers(2)]
+            s[a:b, k] = level + rng.normal(0.0, 0.01, size=b - a)
+    return synth(s.T)
+
+
+def test_classifier_matches_rule_by_rule_reference():
+    # a variable takes the label of the first rule it meets, at the default
+    # thresholds and at wider ones
+    wide = ClassifierConfig(
+        high=0.95, low=0.05, plateau_band=0.08, plateau_frac=0.2,
+        rise_threshold=0.55, monotone_slack=0.05, stationary_tol=1e-3,
+    )
+    rng = np.random.default_rng(15)
+    seen = set()
+    for _ in range(300):
+        trajectory = random_flows(rng)
+        for cfg in (ClassifierConfig(), wide):
+            labels = classify_flows(trajectory, cfg).tolist()
+            assert labels == reference_classify_flows(trajectory, cfg).tolist()
+            seen.update(labels)
+    assert seen == set(FAMILIES)
+
+
+def test_classifier_config_is_frozen():
+    # every default classification shares one module-level instance
+    with pytest.raises(FrozenInstanceError):
+        ec3.flows._DEFAULT_CLASSIFIER.high = 0.5
 
 
 # --- starting-slope law -------------------------------------------------------

@@ -148,6 +148,8 @@ def test_index_outside_int32_is_out_of_range(index):
         pytest.param(lambda: parse_instance("c only\nc comments\n"), "missing 'p ec3 <N> <M>' header", id="no-header"),
         pytest.param(lambda: make_instance(0, []), "n_vars must be >= 1", id="make-zero-n"),
         pytest.param(lambda: make_instance(3, [[1, 2]]), r"\(M, 3\) array", id="make-shape"),
+        # the int32 cast would truncate it to clause (1, 2, 3)
+        pytest.param(lambda: make_instance(3, [[1.5, 2, 3]]), "must be integers", id="make-fractional"),
     ],
 )
 def test_instance_error_messages(build, message):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 from ec3 import (
     CONVERGED_UNSOLVED,
@@ -207,6 +207,9 @@ def test_derive_run_seed_is_base_xor_mix():
         dict(eta=float("inf")),
         dict(stop_tol=float("nan")),
         dict(stop_tol=float("inf")),
+        # a fractional count would run or sample one step past its value
+        dict(max_iters=2.5),
+        dict(record_every=2.5),
     ],
 )
 def test_solver_config_validation(bad):
@@ -220,6 +223,9 @@ def test_replace_revalidates_config():
     assert cfg.eta == 0.005  # original untouched
     with pytest.raises(ValueError):
         replace(cfg, start_radius=0.7)
+    # a field set after construction would skip the checks
+    with pytest.raises(FrozenInstanceError):
+        cfg.eta = -1.0
 
 
 # --- start sampling -----------------------------------------------------------
