@@ -15,7 +15,8 @@ trajectory: solve reports results only.
 Exit codes: 0 = solved / SAT / report written, 1 = not solved within the
 run budget or UNSAT, 2 = usage or input error. An -o path that cannot be
 opened for writing, or a trace CSV's labels file beside it, is an input
-error before the command does any work.
+error before the command does any work. So is an instance too large for
+memory, when its allocation fails with a MemoryError.
 
 --restarts is the run budget of solve and trace; a sweep's is --budget,
 runs per instance. --record-every, the trajectory stride, belongs to the
@@ -119,15 +120,20 @@ def _read_instance(path: str):
         return parse_instance(fh.read())
 
 
+# The descent settings every solver command shares, in the order the parser,
+# the config echo (by flag) and the JSON config (by field) list them; each
+# flag takes its field's default and type.
+_DESCENT_SETTINGS = (  # (SolverConfig field, flag, help)
+    ("eta", "--eta", "gradient step size"),
+    ("start_radius", "--radius", "start half-width: each coordinate uniform on [1/2 - radius, 1/2 + radius]"),
+    ("max_iters", "--max-iters", None),
+    ("stop_tol", "--tol", "fixed-point displacement tolerance"),
+)
+
+
 def _solver_config(args, **extra) -> SolverConfig:
-    return SolverConfig(
-        eta=args.eta,
-        start_radius=args.radius,
-        max_iters=args.max_iters,
-        stop_tol=args.tol,
-        seed=args.seed,
-        **extra,
-    )
+    descent = {field: vars(args)[flag[2:].replace("-", "_")] for field, flag, _ in _DESCENT_SETTINGS}
+    return SolverConfig(**descent, seed=args.seed, **extra)
 
 
 # The descent settings every solver command shares, then the fields each
@@ -135,21 +141,13 @@ def _solver_config(args, **extra) -> SolverConfig:
 # trace those and record_every, and a sweep record_every alone (its run
 # budget is --budget, and each of its cells derives its own solver seed).
 def _echo_solver_config(cfg: SolverConfig, **run) -> None:
-    extra = "".join(f" {k.replace('_', '-')}={v}" for k, v in run.items())
-    _echo(
-        f"config: eta={_g9(cfg.eta)} radius={_g9(cfg.start_radius)} "
-        f"max-iters={cfg.max_iters} tol={_g9(cfg.stop_tol)}{extra}"
-    )
+    pairs = [(flag[2:], getattr(cfg, field)) for field, flag, _ in _DESCENT_SETTINGS]
+    pairs += [(k.replace("_", "-"), v) for k, v in run.items()]
+    _echo("config: " + " ".join(f"{k}={_g9(v) if isinstance(v, float) else v}" for k, v in pairs))
 
 
 def _config_dict(cfg: SolverConfig, **run) -> dict:
-    return {
-        "eta": cfg.eta,
-        "start_radius": cfg.start_radius,
-        "max_iters": cfg.max_iters,
-        "stop_tol": cfg.stop_tol,
-        **run,
-    }
+    return {**{field: getattr(cfg, field) for field, _, _ in _DESCENT_SETTINGS}, **run}
 
 
 def _echo_instance(instance, path: str) -> None:
@@ -409,8 +407,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    if args.format == "csv" and not args.output:
-        raise ValueError("trace in csv format needs --output (two files are written)")
+    if args.format == "csv":  # main has checked -o; the labels go beside it
+        if not args.output:
+            raise ValueError("trace in csv format needs --output (two files are written)")
+        _check_writable(_labels_path(args.output))
     inst = _read_instance(args.instance)
     cfg = _solver_config(args, record_every=args.record_every)
     fields = dict(seed=cfg.seed, restarts=args.restarts, record_every=cfg.record_every)
@@ -484,15 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solver_p = argparse.ArgumentParser(add_help=False)
-    solver_p.add_argument("--eta", type=float, default=SolverConfig.eta, help="gradient step size")
-    solver_p.add_argument(
-        "--radius",
-        type=float,
-        default=SolverConfig.start_radius,
-        help="start half-width: each coordinate uniform on [1/2 - radius, 1/2 + radius]",
-    )
-    solver_p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
-    solver_p.add_argument("--tol", type=float, default=SolverConfig.stop_tol, help="fixed-point displacement tolerance")
+    for field, flag, help in _DESCENT_SETTINGS:
+        default = getattr(SolverConfig, field)
+        solver_p.add_argument(flag, type=type(default), default=default, help=help)
     solver_p.add_argument("--seed", type=int, default=SolverConfig.seed, help="base RNG seed")
     solver_p.add_argument(
         "--workers",
@@ -566,12 +560,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "output", None):
             _check_writable(args.output)
-            # a trace CSV writes its flow labels beside the -o file
-            if args.command == "trace" and args.format == "csv":
-                _check_writable(_labels_path(args.output))
         return args.func(args)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -18,6 +18,7 @@ Assignments travel as a single line of N space-separated 0/1 values.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +28,13 @@ import numpy as np
 # far larger instances, but counting models stays exponential in the worst
 # case, and a ceiling keeps `ec3 oracle` and oracle sweeps to small N.
 ORACLE_CAP = 26
+
+# Indices are stored as int32, so N is bounded by that range.
+_MAX_VARS = int(np.iinfo(np.int32).max)
+
+# Integer tokens, space-joined: each an optional '-' and ASCII digits.
+# int() alone would also take '+', '_' separators and non-ASCII digits.
+_INT_TOKENS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,15 +59,29 @@ class Instance:
         return self.n_clauses / self.n_vars
 
 
+def _check_int32_range(n_vars) -> None:
+    """Reject an N whose indices int32 cannot hold, before any allocation."""
+    if n_vars > _MAX_VARS:
+        raise ValueError(f"n_vars={n_vars} exceeds the int32 index range (at most {_MAX_VARS})")
+
+
+def _parse_ints(tokens, what: str, lineno: int, line: str) -> tuple:
+    # one match over the joined line costs about what int() does
+    if not _INT_TOKENS.fullmatch(" ".join(tokens)):
+        raise ValueError(f"line {lineno}: non-integer {what} {line!r}")
+    return tuple(map(int, tokens))
+
+
 def make_instance(n_vars, clauses) -> Instance:
     """Validate a clause list and build an Instance from a copy of it, so
     the caller's array stays writable and its own.
 
-    Raises ValueError for out-of-range, non-integer or repeated indices;
-    duplicate clauses (as unordered triples) are accepted with a warning.
+    Raises ValueError for an n_vars outside [1, 2^31 - 1] and for
+    out-of-range, non-integer or repeated indices; duplicate clauses (as unordered triples) are accepted with a warning.
     """
     if n_vars < 1:
         raise ValueError(f"n_vars must be >= 1, got {n_vars}")
+    _check_int32_range(n_vars)
     arr = np.asarray(clauses)
     if arr.size == 0:
         arr = arr.reshape(0, 3)
@@ -75,11 +97,11 @@ def make_instance(n_vars, clauses) -> Instance:
     seen = {}
     for i, row in enumerate(arr):
         if len(set(row.tolist())) != 3:
-            raise ValueError(f"clause {i + 1} repeats a variable: {tuple(row)}")
+            raise ValueError(f"clause {i + 1} repeats a variable: {tuple(row.tolist())}")
         key = frozenset(row.tolist())
         if key in seen:
             warnings.warn(
-                f"duplicate clause {tuple(sorted(key))} (lines {seen[key] + 1} and {i + 1})",
+                f"duplicate clause {tuple(sorted(key))} (clauses {seen[key] + 1} and {i + 1})",
                 stacklevel=2,
             )
         else:
@@ -102,19 +124,13 @@ def parse_instance(text: str) -> Instance:
         if header is None:
             if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != "ec3":
                 raise ValueError(f"line {lineno}: expected header 'p ec3 <N> <M>', got {line!r}")
-            try:
-                header = (int(tokens[2]), int(tokens[3]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-integer N/M in header {line!r}") from None
+            header = _parse_ints(tokens[2:], "N/M in header", lineno, line)
             if header[0] < 1 or header[1] < 0:
                 raise ValueError(f"line {lineno}: bad sizes in header {line!r}")
             continue
         if len(tokens) != 3:
             raise ValueError(f"line {lineno}: expected 3 indices, got {line!r}")
-        try:
-            triples.append(tuple(int(t) for t in tokens))
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer index in {line!r}") from None
+        triples.append(_parse_ints(tokens, "index in", lineno, line))
     if header is None:
         raise ValueError("missing 'p ec3 <N> <M>' header")
     n_vars, m = header
@@ -141,6 +157,7 @@ def generate_instance(n_vars: int, n_clauses: int, seed: int) -> Instance:
     """
     if n_vars < 3:
         raise ValueError(f"need n_vars >= 3 to form clauses, got {n_vars}")
+    _check_int32_range(n_vars)
     if n_clauses < 0:
         raise ValueError(f"n_clauses must be >= 0, got {n_clauses}")
     if n_clauses > math.comb(n_vars, 3):

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import pathlib
 import shlex
+import tempfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ec3.flows
 from ec3 import (
@@ -46,6 +51,13 @@ def test_dumps17_round_trips_doubles():
 def test_dumps17_numpy_scalars():
     text = dumps17({"x": np.float64(0.5), "n": np.int64(3), "v": np.arange(3)})
     assert json.loads(text) == {"x": 0.5, "n": 3, "v": [0, 1, 2]}
+
+
+def test_dumps17_empty_containers_and_unknown_objects():
+    assert dumps17({"a": [], "b": {}, "c": np.arange(0)}) == '{\n  "a": [],\n  "b": {},\n  "c": []\n}\n'
+    assert dumps17([]) == "[]\n" and dumps17({}) == "{}\n"
+    with pytest.raises(TypeError, match="cannot serialize"):
+        dumps17({"x": object()})
 
 
 # --- generate -----------------------------------------------------------------
@@ -162,6 +174,35 @@ def test_solve_failure_reports_stopping_rule(tmp_path, capsys):
         assert run["certificate"] is False and run["iterations"] >= 1
 
 
+def test_solve_failure_reports_a_certificate(tmp_path, capsys):
+    # one clause: F = 0.625 at the centre, so every start certifies, and one
+    # update from seed 3's start rounds to a vertex that breaks the clause
+    inst = tmp_path / "one.ec3"
+    inst.write_text("p ec3 3 1\n1 2 3\n")
+    out = tmp_path / "solve.json"
+    argv = ["solve", str(inst), "--restarts", "1", "--max-iters", "1", "--seed", "3", "-o", str(out)]
+    assert main(argv) == 1
+    echoed = capsys.readouterr().out
+    assert "Failed" in echoed
+    assert echoed.endswith("certificate: an interior iterate had F < 1 — the instance is satisfiable\n")
+    doc = json.loads(out.read_text())
+    assert doc["result"]["solved"] is False and doc["result"]["certificate"] is True
+
+
+def test_solve_echoes_non_default_descent_settings(tmp_path, capsys):
+    # the JSON config names each setting by its SolverConfig field, the
+    # config line by its flag
+    out = tmp_path / "x.json"
+    settings = ["--eta", "0.01", "--radius", "0.1", "--max-iters", "7", "--tol", "1e-9"]
+    assert main(["solve", REF15, *settings, "-o", str(out)]) == 1
+    echoed = capsys.readouterr().out
+    assert "c config: eta=0.01 radius=0.1 max-iters=7 tol=1e-09 seed=0 restarts=10\n" in echoed
+    config = json.loads(out.read_text())["config"]
+    assert config == {
+        "eta": 0.01, "start_radius": 0.1, "max_iters": 7, "stop_tol": 1e-9, "seed": 0, "restarts": 10
+    }
+
+
 def test_solve_missing_file_is_usage_error(capsys):
     assert main(["solve", "/nonexistent/foo.ec3"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -170,12 +211,43 @@ def test_solve_missing_file_is_usage_error(capsys):
 def test_index_outside_int32_is_usage_error(tmp_path, capsys):
     # exit 1 would mean "not solved" or UNSAT; a bad instance is an input error
     inst = tmp_path / "big.ec3"
-    inst.write_text("p ec3 3 1\n1 2 3000000000\n")
     (tmp_path / "z").write_text("0 0 1\n")
-    for argv in (["solve", str(inst)], ["oracle", str(inst)], ["verify", str(inst), str(tmp_path / "z")]):
-        assert main(argv) == 2, argv
+    cases = (
+        ("p ec3 3 1\n1 2 3000000000\n", "error: variable index out of range"),
+        # N beyond the index range, checked before any allocation
+        ("p ec3 99999999999999999999999 0\n", "error: n_vars=99999999999999999999999 exceeds"),
+        ("p ec3 1000000000000 0\n", "error: n_vars=1000000000000 exceeds"),
+        # int() would read these as clause (1, 2, 3) and index 10
+        ("p ec3 3 1\n+1 2 \u0663\n", "error: line 2: non-integer index"),
+        ("p ec3 10 1\n1 2 1_0\n", "error: line 2: non-integer index"),
+    )
+    for text, message in cases:
+        inst.write_text(text)
+        for argv in (["solve", str(inst)], ["oracle", str(inst)], ["verify", str(inst), str(tmp_path / "z")]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith(message) and captured.out == "", (text, argv)
+            assert captured.err.count("\n") == 1, (text, argv)
+    assert main(["generate", "-n", "99999999999999999999999", "-m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: n_vars=99999999999999999999999 exceeds") and captured.out == ""
+
+
+def test_memory_error_is_usage_error(capsys, monkeypatch):
+    # an N within the index range can still be too large for memory; the
+    # allocation failure is simulated here, not provoked
+    for error, line in (
+        (MemoryError("Unable to allocate 16.0 GiB for an array"), "error: Unable to allocate 16.0 GiB for an array\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ):
+
+        def no_memory(text, error=error):
+            raise error
+
+        monkeypatch.setattr("ec3.cli.parse_instance", no_memory)
+        assert main(["solve", REF15]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: variable index out of range") and captured.out == "", argv
+        assert captured.err == line and captured.out == ""
 
 
 def test_solve_flags_are_checked_before_the_solve(capsys, monkeypatch):
@@ -227,6 +299,9 @@ def test_oracle_human_text(tmp_path, capsys):
     echoed = capsys.readouterr().out
     assert "SAT" in echoed
     assert "solutions: 30" in echoed
+    assert main(["oracle", UNSAT4, "-o", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "UNSAT"
+    assert json.loads(out.read_text())["result"]["satisfiable"] is False
 
 
 def test_oracle_cap_enforced(tmp_path, capsys):
@@ -315,6 +390,12 @@ def test_sweep_json_winner_iterations(capsys):
     assert unsolved["mean_winner_iterations"] is None
 
 
+def test_sweep_prints_r_star(capsys):
+    argv = ["sweep", "-n", "12", "--r-from", "0.5", "--r-to", "0.9", "--step", "0.2", "--per-r", "4"]
+    assert main(argv + ["--budget", "2", "--oracle", "--workers", "1"]) == 0
+    assert capsys.readouterr().out.endswith("c r_star = 0.9\n")
+
+
 def test_sweep_bad_grid(capsys, monkeypatch):
     def no_cell(*args, **kwargs):
         raise AssertionError("a sweep cell ran with bad arguments")
@@ -365,6 +446,9 @@ def test_bad_output_path_fails_before_the_work(capsys, monkeypatch, tmp_path):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
     assert not (tmp_path / "flows.csv").exists()
+    # before the instance is read
+    assert main(["trace", str(tmp_path / "absent.ec3"), "-o", "flows.csv"]) == 2
+    assert "flows.labels.csv" in capsys.readouterr().err
 
 
 def test_sweep_has_no_restarts_option(capsys):
@@ -395,6 +479,9 @@ def test_sweep_zero_step_is_usage_error(capsys, monkeypatch):
         assert err.startswith("error: ") and message in err, (step, err)
     with pytest.raises(ValueError, match="step=1e-11 is too small"):
         _ratio_grid(0.25, 0.25 + 1e-7, 1e-11)
+    # a span over step that overflows to infinity
+    with pytest.raises(ValueError, match="no finite point count"):
+        _ratio_grid(0.5, 1e300, 1e-10)
 
 
 def test_sweep_ratios_are_checked_before_the_grid_is_built(capsys, monkeypatch):
@@ -481,6 +568,9 @@ def test_trace_csv_requires_output(capsys, monkeypatch):
 
     monkeypatch.setattr("ec3.cli.solve_with_restarts", no_solve)
     assert main(["trace", REF15, "--workers", "1"]) == 2
+    assert "needs --output" in capsys.readouterr().err
+    # before the instance is read
+    assert main(["trace", "/nonexistent/foo.ec3"]) == 2
     assert "needs --output" in capsys.readouterr().err
 
 
@@ -608,3 +698,69 @@ def test_readme_command_lines_parse(capsys):
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}\n{capsys.readouterr().err}")
+
+
+# --- the exit-code contract under hostile input ---------------------------------
+
+# N from 1 to 12, or beyond the int32 index range, never in between, so that
+# no example allocates much
+SIZES = st.one_of(st.integers(1, 12), st.integers(2**31, 10**30))
+TOKENS = st.one_of(
+    st.integers(-2, 14).map(str),
+    SIZES.map(str),
+    st.sampled_from(["+1", "1_0", "\u0663", "1.5", "x", "0x1", "1e3", "-0", "007"]),
+)
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+@st.composite
+def near_valid_files(draw):
+    """An instance file and an assignment file for it, valid but for at
+    most one hostile header token, one hostile clause line (in place of a
+    clause, or added) and one hostile assignment value."""
+    n, m = draw(st.one_of(st.integers(3, 12), SIZES)), draw(st.integers(0, 5))
+    header = ["p", "ec3", str(n), str(m)]
+    if draw(st.integers(0, 3)) == 0:
+        header[draw(st.integers(0, 3))] = draw(TOKENS)
+    index = st.integers(1, min(n, 12)).map(str)
+    lines = [" ".join(draw(st.lists(index, min_size=3, max_size=3, unique=n >= 3))) for _ in range(m)]
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, m))
+        lines[at : at + 1] = [" ".join(draw(st.lists(TOKENS, min_size=2, max_size=4)))]
+    comments = draw(st.lists(st.sampled_from(["c comment", ""]), max_size=2))
+    values = draw(st.lists(st.sampled_from("01"), min_size=min(n, 12), max_size=min(n, 12)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(values)))
+        values[at : at + 1] = [draw(st.sampled_from(["2", "-1", "x", "\u0661", ""]))]
+    return "\n".join(comments + [" ".join(header)] + lines).encode(), " ".join(values)
+
+
+GARBAGE_FILES = st.tuples(st.one_of(TEXT.map(str.encode), st.binary(max_size=40)), TEXT)
+
+
+@pytest.mark.filterwarnings("ignore:duplicate clause:UserWarning")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(files=st.one_of(near_valid_files(), near_valid_files(), GARBAGE_FILES))
+@example(files=(b"p ec3 99999999999999999999999 0\n", "0\n"))
+def test_hostile_inputs_keep_the_exit_code_contract(files):
+    # exit 0 or 1 with nothing on stderr, or exit 2 with one error line;
+    # never an escaped exception
+    instance, assignment = files
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, z = pathlib.Path(tmp, "inst.ec3"), pathlib.Path(tmp, "z")
+        inst.write_bytes(instance)
+        z.write_text(assignment, encoding="utf-8")
+        budget = ["--restarts", "1", "--max-iters", "300"]
+        for argv in (
+            ["solve", str(inst), *budget],
+            ["oracle", str(inst)],
+            ["verify", str(inst), str(z)],
+            ["trace", str(inst), "--format", "json", *budget],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            if rc == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+            else:
+                assert rc in (0, 1) and err.getvalue() == "", (argv, rc, err.getvalue())

@@ -150,6 +150,25 @@ def test_index_outside_int32_is_out_of_range(index):
         pytest.param(lambda: make_instance(3, [[1, 2]]), r"\(M, 3\) array", id="make-shape"),
         # the int32 cast would truncate it to clause (1, 2, 3)
         pytest.param(lambda: make_instance(3, [[1.5, 2, 3]]), "must be integers", id="make-fractional"),
+        # N is bounded by the int32 index range, checked before any allocation
+        pytest.param(
+            lambda: parse_instance("p ec3 99999999999999999999999 0\n"),
+            "exceeds the int32 index range",
+            id="header-oversized-n",
+        ),
+        pytest.param(lambda: make_instance(2**31, []), "exceeds the int32 index range", id="make-oversized-n"),
+        pytest.param(
+            lambda: generate_instance(10**23, 1, 0), "exceeds the int32 index range", id="generate-oversized-n"
+        ),
+        # an integer is an optional '-' and ASCII digits, nothing else
+        pytest.param(lambda: parse_instance("p ec3 +3 0\n"), "non-integer N/M in header", id="header-plus"),
+        pytest.param(lambda: parse_instance("p ec3 3 1\n+1 2 \u0663\n"), "non-integer index", id="clause-plus-arabic"),
+        pytest.param(lambda: parse_instance("p ec3 10 1\n1 2 1_0\n"), "non-integer index", id="clause-underscore"),
+        pytest.param(lambda: parse_instance("p ec3 3 1\n-1 2 3\n"), "out of range", id="clause-negative"),
+        # plain values, not numpy reprs
+        pytest.param(
+            lambda: parse_instance("p ec3 3 1\n1 1 3\n"), r"repeats a variable: \(1, 1, 3\)$", id="repeat-plain"
+        ),
     ],
 )
 def test_instance_error_messages(build, message):
@@ -181,6 +200,9 @@ def test_parse_warns_on_duplicate_clause():
     with pytest.warns(UserWarning, match="duplicate clause"):
         inst = parse_instance("p ec3 4 2\n1 2 3\n3 2 1\n")
     assert inst.n_clauses == 2  # accepted, just noisy
+    # the clauses sit on file lines 3 and 4; the warning counts clauses
+    with pytest.warns(UserWarning, match=r"duplicate clause \(1, 2, 3\) \(clauses 1 and 2\)"):
+        parse_instance("c x\np ec3 4 2\n1 2 3\n3 2 1\n")
 
 
 def test_assignment_file_round_trip():
