@@ -17,7 +17,6 @@ from .cost import (
 )
 from .flows import (
     FAMILIES,
-    ClassifierConfig,
     SlopeCheck,
     SweepReport,
     SweepRow,

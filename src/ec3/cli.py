@@ -16,7 +16,10 @@ Exit codes: 0 = solved / SAT / report written, 1 = not solved within the
 run budget or UNSAT, 2 = usage or input error. An -o path that cannot be
 opened for writing, or a trace CSV's labels file beside it, is an input
 error before the command does any work. So is an instance too large for
-memory, when its allocation fails with a MemoryError.
+memory, when its allocation fails with a MemoryError. An input error is
+one `error:` line on stderr and nothing else there; a command that
+finishes prints each warning it raised (a duplicate clause) as one
+`warning:` line on stderr.
 
 --restarts is the run budget of solve and trace; a sweep's is --budget,
 runs per instance. --record-every, the trajectory stride, belongs to the
@@ -38,6 +41,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections import Counter
 from dataclasses import asdict
 
@@ -351,8 +355,6 @@ def _ratio_grid(r_from: float, r_to: float, step: float):
 
 
 def cmd_sweep(args) -> int:
-    if args.oracle and args.n_vars > args.cap:
-        raise ValueError(f"--oracle needs N <= --cap, got n={args.n_vars} above cap {args.cap}")
     fields = dict(record_every=args.record_every)
     cfg = _solver_config(args, **fields)
     grid = _ratio_grid(args.r_from, args.r_to, args.step)
@@ -560,10 +562,15 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "output", None):
             _check_writable(args.output)
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = args.func(args)
     except (ValueError, OSError, MemoryError) as e:
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

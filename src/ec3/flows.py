@@ -19,8 +19,7 @@ Trajectory families (labels used throughout):
     Irregular anything else
 
 The thresholds that turn these qualitative shapes into a decision procedure
-live in ClassifierConfig and are deliberately exposed: they are calibration,
-not theory.
+are the module constants below: they are calibration, not theory.
 """
 
 from __future__ import annotations
@@ -49,18 +48,14 @@ from .solver import rerun_with_trajectory  # noqa: F401
 FAMILIES = ("I", "II-up", "II-down", "III-up", "III-down", "IV", "V", "Irregular")
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
-    high: float = 0.99            # "ends at 1" threshold
-    low: float = 0.01             # "ends at 0" threshold
-    plateau_band: float = 0.05    # half-width of a plateau band
-    plateau_frac: float = 0.10    # dwell fraction that counts as a plateau
-    rise_threshold: float = 0.6   # how high a flow must get to count as risen
-    monotone_slack: float = 0.01  # cumulative reversal tolerated as monotone
-    stationary_tol: float = 1e-12
-
-
-_DEFAULT_CLASSIFIER = ClassifierConfig()
+# classify_flows thresholds
+_HIGH = 0.99            # "ends at 1" threshold
+_LOW = 0.01             # "ends at 0" threshold
+_PLATEAU_BAND = 0.05    # half-width of a plateau band
+_PLATEAU_FRAC = 0.10    # dwell fraction that counts as a plateau
+_RISE_THRESHOLD = 0.6   # how high a flow must get to count as risen
+_MONOTONE_SLACK = 0.01  # cumulative reversal tolerated as monotone
+_STATIONARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,7 @@ def slope_spectrum(trajectory: Trajectory, eta: float) -> np.ndarray:
     return _first_displacement(trajectory) / (eta / 4.0)
 
 
-def classify_flows(trajectory: Trajectory, config: ClassifierConfig = _DEFAULT_CLASSIFIER):
+def classify_flows(trajectory: Trajectory):
     """Assign one family label per variable from the sampled trajectory.
 
     Decision order: V (stationary), III (return to the 1/2 band after an
@@ -107,35 +102,34 @@ def classify_flows(trajectory: Trajectory, config: ClassifierConfig = _DEFAULT_C
     if s.shape[0] < 2:
         raise ValueError("need at least 2 snapshots to classify flows")
     t = s.shape[0]
-    cfg = config
     start, final = s[0], s[-1]
 
     deviation = np.max(np.abs(s - start), axis=0)
-    ends_up = final >= cfg.high
-    ends_down = final <= cfg.low
+    ends_up = final >= _HIGH
+    ends_down = final <= _LOW
     peak = s.max(axis=0)
 
-    above_half = s > 0.5 + cfg.plateau_band
+    above_half = s > 0.5 + _PLATEAU_BAND
     rose_out = above_half.any(axis=0)
     first_exit = np.where(rose_out, above_half.argmax(axis=0), t)
     after_exit = np.arange(t)[:, None] > first_exit[None, :]
-    half_dwell = ((np.abs(s - 0.5) <= cfg.plateau_band) & after_exit).sum(axis=0) / t
-    two_thirds_dwell = (np.abs(s - 2.0 / 3.0) <= cfg.plateau_band).mean(axis=0)
+    half_dwell = ((np.abs(s - 0.5) <= _PLATEAU_BAND) & after_exit).sum(axis=0) / t
+    two_thirds_dwell = (np.abs(s - 2.0 / 3.0) <= _PLATEAU_BAND).mean(axis=0)
 
     reversal = np.clip(np.diff(s, axis=0), None, 0.0).sum(axis=0)
-    monotone_up = reversal >= -cfg.monotone_slack
+    monotone_up = reversal >= -_MONOTONE_SLACK
 
-    split = rose_out & (half_dwell >= cfg.plateau_frac)
-    plateau2 = (peak >= cfg.rise_threshold) & (two_thirds_dwell >= cfg.plateau_frac)
+    split = rose_out & (half_dwell >= _PLATEAU_FRAC)
+    plateau2 = (peak >= _RISE_THRESHOLD) & (two_thirds_dwell >= _PLATEAU_FRAC)
     # in decision order: a variable takes the first label whose mask holds
     rules = {
-        "V": deviation < cfg.stationary_tol,
+        "V": deviation < _STATIONARY_TOL,
         "III-up": split & ends_up,
         "III-down": split & ends_down,
         "II-up": plateau2 & ends_up,
         "II-down": plateau2 & ends_down,
         "I": monotone_up & ends_up,
-        "IV": ends_down & (peak >= start + cfg.plateau_band),
+        "IV": ends_down & (peak >= start + _PLATEAU_BAND),
     }
     return np.select(list(rules.values()), list(rules), default="Irregular")
 
@@ -173,9 +167,7 @@ def _sweep_cell(n_vars, config, budget, want_oracle, cap, classify, cell):
     f = CostFunction.from_instance(inst)
     config = replace(config, seed=mix64(inst_seed))
     outcome = solve_with_restarts(f, config, budget, record=classify)
-    sat = None
-    if want_oracle and n_vars <= cap:
-        sat = brute_force_oracle(inst, cap=cap).satisfiable
+    sat = brute_force_oracle(inst, cap=cap).satisfiable if want_oracle else None
     runs = iters = None
     counts = Counter()
     if outcome.solved:
@@ -209,12 +201,13 @@ def phase_sweep(
     its instance seed is base_seed XOR mix64((i << 32) | j) and its solver
     seed mix64 of that, so every cell is reproducible in isolation and the
     report is bitwise identical for any worker count. Records the solver
-    success fraction under the run budget, exact satisfiability when N is
-    within the oracle cap, the mean runs-to-success and mean winner
-    iterations among solved cells (None when there is none), and, with
-    `classify`, the flow-family populations of the winning runs. The cells
-    spread over min(workers, cells) processes; one runs them in this one,
-    and a count below one is a ValueError.
+    success fraction under the run budget, with `use_oracle` exact
+    satisfiability, the mean runs-to-success and mean winner iterations
+    among solved cells (None when there is none), and, with `classify`, the
+    flow-family populations of the winning runs. The oracle needs
+    N <= oracle_cap: a larger N is a ValueError before any cell runs. The
+    cells spread over min(workers, cells) processes; one runs them in this
+    one, and a count below one is a ValueError.
     """
     if instances_per_r < 1:
         raise ValueError("instances_per_r must be at least 1")
@@ -222,6 +215,8 @@ def phase_sweep(
         raise ValueError("run_budget must be at least 1")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if use_oracle and n_vars > oracle_cap:
+        raise ValueError(f"n_vars={n_vars} exceeds oracle cap {oracle_cap}")
     r_grid = [float(r) for r in r_grid]
     if not r_grid:
         raise ValueError("empty ratio grid")

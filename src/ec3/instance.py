@@ -36,6 +36,14 @@ _MAX_VARS = int(np.iinfo(np.int32).max)
 # int() alone would also take '+', '_' separators and non-ASCII digits.
 _INT_TOKENS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
 
+# int() and str() refuse integers of more than 4300 digits (a process-wide
+# limit that can be lowered to 640). Every range here is far smaller, so a
+# token of more than _MAX_DIGITS significant digits reads as ±_OVERLONG,
+# which each range check compares as it would the token, and a message
+# names such a value by its length alone.
+_MAX_DIGITS = 100
+_OVERLONG = 10**_MAX_DIGITS
+
 
 @dataclass(frozen=True, eq=False)
 class Instance:
@@ -59,17 +67,30 @@ class Instance:
         return self.n_clauses / self.n_vars
 
 
+def _shown(value: int) -> str:
+    """An integer as message text, one of _OVERLONG or more by its length."""
+    return str(value) if abs(value) < _OVERLONG else f"(over {_MAX_DIGITS} digits)"
+
+
 def _check_int32_range(n_vars) -> None:
     """Reject an N whose indices int32 cannot hold, before any allocation."""
     if n_vars > _MAX_VARS:
-        raise ValueError(f"n_vars={n_vars} exceeds the int32 index range (at most {_MAX_VARS})")
+        raise ValueError(f"n_vars={_shown(n_vars)} exceeds the int32 index range (at most {_MAX_VARS})")
+
+
+def _read_int(token: str) -> int:
+    digits = token.lstrip("-").lstrip("0") or "0"
+    value = int(digits) if len(digits) <= _MAX_DIGITS else _OVERLONG
+    return -value if token.startswith("-") else value
 
 
 def _parse_ints(tokens, what: str, lineno: int, line: str) -> tuple:
     # one match over the joined line costs about what int() does
-    if not _INT_TOKENS.fullmatch(" ".join(tokens)):
+    joined = " ".join(tokens)
+    if not _INT_TOKENS.fullmatch(joined):
         raise ValueError(f"line {lineno}: non-integer {what} {line!r}")
-    return tuple(map(int, tokens))
+    # only a line this long can hold an overlong token
+    return tuple(map(int if len(joined) <= _MAX_DIGITS else _read_int, tokens))
 
 
 def make_instance(n_vars, clauses) -> Instance:
@@ -80,7 +101,7 @@ def make_instance(n_vars, clauses) -> Instance:
     out-of-range, non-integer or repeated indices; duplicate clauses (as unordered triples) are accepted with a warning.
     """
     if n_vars < 1:
-        raise ValueError(f"n_vars must be >= 1, got {n_vars}")
+        raise ValueError(f"n_vars must be >= 1, got {_shown(n_vars)}")
     _check_int32_range(n_vars)
     arr = np.asarray(clauses)
     if arr.size == 0:
@@ -106,7 +127,7 @@ def make_instance(n_vars, clauses) -> Instance:
             )
         else:
             seen[key] = i
-    degree = np.bincount(arr.ravel() - 1, minlength=n_vars).astype(np.int64)
+    degree = np.bincount(arr.ravel() - 1, minlength=n_vars).astype(np.int64, copy=False)
     arr.setflags(write=False)
     degree.setflags(write=False)
     return Instance(int(n_vars), arr, degree)
@@ -135,7 +156,7 @@ def parse_instance(text: str) -> Instance:
         raise ValueError("missing 'p ec3 <N> <M>' header")
     n_vars, m = header
     if len(triples) != m:
-        raise ValueError(f"header promises {m} clauses, file contains {len(triples)}")
+        raise ValueError(f"header promises {_shown(m)} clauses, file contains {len(triples)}")
     return make_instance(n_vars, triples)
 
 

@@ -1,12 +1,12 @@
 import io
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ec3 import (
     FAMILIES,
-    ClassifierConfig,
     CostFunction,
     SolverConfig,
     SweepReport,
@@ -136,15 +136,9 @@ def test_classifier_needs_two_snapshots():
     assert classify_flows(synth([[0.5, 0.5], [0.5, 1.0], [0.5, 0.0]])).tolist() == ["V", "I", "Irregular"]
 
 
-def test_classifier_thresholds_are_adjustable():
-    # with a huge stationary tolerance everything is V
-    cfg = ClassifierConfig(stationary_tol=10.0)
-    t = synth([flow_I(), flow_IV(), flow_irregular()])
-    assert classify_flows(t, cfg).tolist() == ["V", "V", "V"]
-
-
 def reference_classify_flows(trajectory, cfg):
-    """Rule by rule: each rule labels the variables that no earlier rule took."""
+    """Rule by rule: each rule labels the variables that no earlier rule took,
+    at the thresholds in cfg."""
     s = trajectory.snapshots
     t, n = s.shape
     start, final = s[0], s[-1]
@@ -202,28 +196,26 @@ def random_flows(rng):
     return synth(s.T)
 
 
-def test_classifier_matches_rule_by_rule_reference():
+def test_classifier_matches_rule_by_rule_reference(monkeypatch):
     # a variable takes the label of the first rule it meets, at the default
-    # thresholds and at wider ones
-    wide = ClassifierConfig(
+    # thresholds and at wider ones, each set in the module constant
+    # `_<NAME>` that classify_flows reads
+    wide = dict(
         high=0.95, low=0.05, plateau_band=0.08, plateau_frac=0.2,
         rise_threshold=0.55, monotone_slack=0.05, stationary_tol=1e-3,
     )
+    default = {name: getattr(ec3.flows, f"_{name.upper()}") for name in wide}
     rng = np.random.default_rng(15)
+    trajectories = [random_flows(rng) for _ in range(300)]
     seen = set()
-    for _ in range(300):
-        trajectory = random_flows(rng)
-        for cfg in (ClassifierConfig(), wide):
-            labels = classify_flows(trajectory, cfg).tolist()
-            assert labels == reference_classify_flows(trajectory, cfg).tolist()
+    for thresholds in (default, wide):
+        for name, value in thresholds.items():
+            monkeypatch.setattr(ec3.flows, f"_{name.upper()}", value)
+        for trajectory in trajectories:
+            labels = classify_flows(trajectory).tolist()
+            assert labels == reference_classify_flows(trajectory, SimpleNamespace(**thresholds)).tolist()
             seen.update(labels)
     assert seen == set(FAMILIES)
-
-
-def test_classifier_config_is_frozen():
-    # every default classification shares one module-level instance
-    with pytest.raises(FrozenInstanceError):
-        ec3.flows._DEFAULT_CLASSIFIER.high = 0.5
 
 
 # --- starting-slope law -------------------------------------------------------
@@ -372,7 +364,11 @@ def test_phase_sweep_flow_counts_match_rerun(n_vars, grid):
     assert any(counts for counts, _ in want)  # some cell solved and was classified
 
 
-def test_phase_sweep_grid_validation():
+def test_phase_sweep_grid_validation(monkeypatch):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a sweep cell ran with bad arguments")
+
+    monkeypatch.setattr(ec3.flows, "_sweep_cell", no_cell)
     cfg = SolverConfig(seed=0)
     with pytest.raises(ValueError, match="empty"):
         phase_sweep(12, [], 2, cfg, 2, 0)
@@ -389,6 +385,11 @@ def test_phase_sweep_grid_validation():
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             phase_sweep(12, [0.5], 2, cfg, 2, 0, workers=workers)
+    # the oracle counts models only up to oracle_cap variables
+    with pytest.raises(ValueError, match="^n_vars=30 exceeds oracle cap 26$"):
+        phase_sweep(30, [0.3], 1, SolverConfig(), 1, 1, use_oracle=True)
+    with pytest.raises(ValueError, match="^n_vars=12 exceeds oracle cap 11$"):
+        phase_sweep(12, [0.5], 2, cfg, 2, 0, workers=2, oracle_cap=11)
 
 
 def test_r_star_interpolation():

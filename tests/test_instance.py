@@ -108,6 +108,7 @@ def test_parse_minimal():
     inst = parse_instance("p ec3 3 1\n1 2 3\n")
     assert inst.n_vars == 3 and inst.n_clauses == 1
     assert inst.clause_degree.tolist() == [1, 1, 1]
+    assert inst.clause_degree.dtype == np.int64
 
 
 def test_parse_accepts_comments_anywhere():
@@ -160,6 +161,24 @@ def test_index_outside_int32_is_out_of_range(index):
         pytest.param(
             lambda: generate_instance(10**23, 1, 0), "exceeds the int32 index range", id="generate-oversized-n"
         ),
+        # beyond the 4300 digits int() and str() take, the message a 30-digit
+        # value gets, with no value printed
+        pytest.param(
+            lambda: parse_instance("p ec3 3 1\n1 2 " + "9" * 5000 + "\n"),
+            r"^variable index out of range \[1, 3\]$",
+            id="clause-5000-digits",
+        ),
+        pytest.param(
+            lambda: parse_instance("p ec3 " + "9" * 5000 + " 0\n"),
+            r"^n_vars=\(over 100 digits\) exceeds the int32 index range",
+            id="header-5000-digit-n",
+        ),
+        pytest.param(
+            lambda: parse_instance("p ec3 3 " + "9" * 5000 + "\n1 2 3\n"),
+            r"^header promises \(over 100 digits\) clauses, file contains 1$",
+            id="header-5000-digit-m",
+        ),
+        pytest.param(lambda: make_instance(-(10**5000), []), r"got \(over 100 digits\)$", id="make-5000-digit-n"),
         # an integer is an optional '-' and ASCII digits, nothing else
         pytest.param(lambda: parse_instance("p ec3 +3 0\n"), "non-integer N/M in header", id="header-plus"),
         pytest.param(lambda: parse_instance("p ec3 3 1\n+1 2 \u0663\n"), "non-integer index", id="clause-plus-arabic"),
@@ -174,6 +193,13 @@ def test_index_outside_int32_is_out_of_range(index):
 def test_instance_error_messages(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_leading_zeros_do_not_count_as_digits():
+    inst = parse_instance("p ec3 " + "0" * 5000 + "3 1\n1 2 " + "0" * 5000 + "3\n")
+    assert inst.n_vars == 3 and inst.clauses.tolist() == [[1, 2, 3]]
+    with pytest.raises(ValueError, match="out of range"):
+        parse_instance("p ec3 3 1\n1 2 -" + "0" * 5000 + "1\n")
 
 
 def test_make_instance_copies_its_input():
