@@ -18,8 +18,8 @@ opened for writing, or a trace CSV's labels file beside it, is an input
 error before the command does any work. So is an instance too large for
 memory, when its allocation fails with a MemoryError. An input error is
 one `error:` line on stderr and nothing else there; a command that
-finishes prints each warning it raised (a duplicate clause) as one
-`warning:` line on stderr.
+finishes prints each warning it raised (every duplicate clause; other
+kinds as Python's warning filters allow) as one `warning:` line on stderr.
 
 --restarts is the run budget of solve and trace; a sweep's is --budget,
 runs per instance. --record-every, the trajectory stride, belongs to the
@@ -563,7 +563,9 @@ def main(argv=None) -> int:
         if getattr(args, "output", None):
             _check_writable(args.output)
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+            # the duplicate-clause notice, once per clause; other categories
+            # keep the filters outside
+            warnings.simplefilter("always", UserWarning)
             code = args.func(args)
     except (ValueError, OSError, MemoryError) as e:
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)

@@ -86,11 +86,9 @@ def _read_int(token: str) -> int:
 
 def _parse_ints(tokens, what: str, lineno: int, line: str) -> tuple:
     # one match over the joined line costs about what int() does
-    joined = " ".join(tokens)
-    if not _INT_TOKENS.fullmatch(joined):
+    if not _INT_TOKENS.fullmatch(" ".join(tokens)):
         raise ValueError(f"line {lineno}: non-integer {what} {line!r}")
-    # only a line this long can hold an overlong token
-    return tuple(map(int if len(joined) <= _MAX_DIGITS else _read_int, tokens))
+    return tuple(map(_read_int, tokens))
 
 
 def make_instance(n_vars, clauses) -> Instance:

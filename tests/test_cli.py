@@ -245,6 +245,25 @@ def test_duplicate_clause_is_one_warning_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: assignment values must be 0 or 1\n"
 
 
+def test_other_warnings_keep_the_outer_filters(tmp_path, monkeypatch, capsys):
+    # main prints only UserWarnings itself; a RuntimeWarning inside a command
+    # still meets the test suite's error filter
+    import warnings
+
+    import ec3.cli
+
+    def noisy(args):
+        warnings.warn("overflow in the descent", RuntimeWarning)
+        return 0
+
+    monkeypatch.setattr(ec3.cli, "cmd_oracle", noisy)
+    inst = tmp_path / "a.ec3"
+    inst.write_text("p ec3 3 1\n1 2 3\n")
+    with pytest.raises(RuntimeWarning, match="overflow in the descent"):
+        main(["oracle", str(inst)])
+    assert capsys.readouterr().err == ""
+
+
 def test_memory_error_is_usage_error(capsys, monkeypatch):
     # an N within the index range can still be too large for memory; the
     # allocation failure is simulated here, not provoked
