@@ -23,8 +23,8 @@ kinds as Python's warning filters allow) as one `warning:` line on stderr.
 
 --restarts is the run budget of solve and trace; a sweep's is --budget,
 runs per instance. --record-every, the trajectory stride, belongs to the
-commands that record: trace, and sweep (its JSON document classifies the
-winners' flows). The --workers flag sets how many processes a sweep
+one command that records, trace; a sweep records no run and does not
+take it. The --workers flag sets how many processes a sweep
 spreads its cells over (at most one per cell); solve and trace run in one
 process and ignore it. A sweep's results are contractually identical for
 every worker count (each cell is seeded from its grid position alone), so
@@ -142,8 +142,8 @@ def _solver_config(args, **extra) -> SolverConfig:
 
 # The descent settings every solver command shares, then the fields each
 # command adds as keywords, in its own order: solve adds seed and restarts,
-# trace those and record_every, and a sweep record_every alone (its run
-# budget is --budget, and each of its cells derives its own solver seed).
+# trace those and record_every; a sweep adds none (its run budget is
+# --budget, and each of its cells derives its own solver seed).
 def _echo_solver_config(cfg: SolverConfig, **run) -> None:
     pairs = [(flag[2:], getattr(cfg, field)) for field, flag, _ in _DESCENT_SETTINGS]
     pairs += [(k.replace("_", "-"), v) for k, v in run.items()]
@@ -355,8 +355,7 @@ def _ratio_grid(r_from: float, r_to: float, step: float):
 
 
 def cmd_sweep(args) -> int:
-    fields = dict(record_every=args.record_every)
-    cfg = _solver_config(args, **fields)
+    cfg = _solver_config(args)
     grid = _ratio_grid(args.r_from, args.r_to, args.step)
     report = phase_sweep(
         args.n_vars,
@@ -368,7 +367,6 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
         use_oracle=args.oracle,
         oracle_cap=args.cap,
-        classify=args.format == "json",  # the CSV has no flow column
     )
     machine = args.format == "json" and not args.output
     if not machine:
@@ -376,7 +374,7 @@ def cmd_sweep(args) -> int:
             f"sweep: n={args.n_vars} r={_g9(args.r_from)}..{_g9(args.r_to)} step={_g9(args.step)} "
             f"per-r={args.per_r} budget={args.budget} oracle={str(args.oracle).lower()}"
         )
-        _echo_solver_config(cfg, **fields)
+        _echo_solver_config(cfg)
     rstar = r_star_estimate(report)
     if args.format == "json":
         doc = {
@@ -390,7 +388,7 @@ def cmd_sweep(args) -> int:
                 "base_seed": args.seed,
                 "oracle": args.oracle,
                 "oracle_cap": args.cap,
-                **_config_dict(cfg, **fields),
+                **_config_dict(cfg),
             },
             "rows": [asdict(row) for row in report.rows],
             "r_star": rstar,
@@ -541,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--budget", type=int, default=5, help="runs per instance")
     w.add_argument("--oracle", action="store_true", help="record exact satisfiability (N <= cap)")
     w.add_argument("--cap", type=int, default=ORACLE_CAP)
-    w.add_argument("--record-every", type=int, default=SolverConfig.record_every, help="trajectory stride (JSON sweep)")
     w.set_defaults(func=cmd_sweep)
 
     t = sub.add_parser("trace", parents=[solver_p, out_p, format_p], help="solve, recording the winning run; classify its flows and check the starting-slope law")

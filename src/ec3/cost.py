@@ -9,9 +9,9 @@ and F(X) = Σ_i P_i. F is multilinear, so it is affine in every single
 coordinate (zero per-coordinate second derivative — a harmonic function with
 an all-zero Hessian diagonal), takes exact integer values on hypercube
 vertices (the number of unsatisfied clauses there), and is strictly positive
-in the open interior. Any strictly interior point with F < 1 certifies
-satisfiability: the union bound leaves positive probability that no clause
-fails, so a satisfying assignment exists.
+in the open interior. F < 1 anywhere in the closed cube certifies
+satisfiability: by the union bound, a vertex drawn with independent
+coordinates of mean x violates no clause with probability ≥ 1 − F(x) > 0.
 
 Conversions between bit assignments Z and points X use x_i = 1 − z_i
 (vertex x_i = 1 means z_i = 0) everywhere in this package.

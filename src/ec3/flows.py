@@ -25,9 +25,8 @@ are the module constants below: they are calibration, not theory.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -144,7 +143,6 @@ class SweepRow:
     oracle_sat_frac: float | None
     mean_runs_to_success: float | None
     mean_winner_iterations: float | None = None
-    flow_counts: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -159,22 +157,19 @@ def clause_count_for_ratio(r: float, n_vars: int) -> int:
     return int(math.floor(r * n_vars + 0.5))
 
 
-def _sweep_cell(n_vars, config, budget, want_oracle, cap, classify, cell):
+def _sweep_cell(n_vars, config, budget, want_oracle, cap, cell):
     """Solve cell `(M, instance seed)` with solver seed mix64(instance seed):
-    (runs, winner iterations, oracle SAT, flow counts), None where it has none."""
+    (runs, winner iterations, oracle SAT), None where it has none."""
     m, inst_seed = cell
     inst = generate_instance(n_vars, m, inst_seed)
     f = CostFunction.from_instance(inst)
     config = replace(config, seed=mix64(inst_seed))
-    outcome = solve_with_restarts(f, config, budget, record=classify)
+    outcome = solve_with_restarts(f, config, budget)
     sat = brute_force_oracle(inst, cap=cap).satisfiable if want_oracle else None
     runs = iters = None
-    counts = Counter()
     if outcome.solved:
         runs, iters = len(outcome.results), outcome.winner.iterations
-        if classify:
-            counts.update(classify_flows(outcome.winner.trajectory))
-    return runs, iters, sat, counts
+    return runs, iters, sat
 
 
 def _mean(values):
@@ -193,7 +188,7 @@ def phase_sweep(
     workers: int = 1,
     use_oracle: bool = True,
     oracle_cap: int = ORACLE_CAP,
-    classify: bool = True,
+    classify: bool = False,
 ) -> SweepReport:
     """Solve random instances across a grid of ratios r with M = round(r·N).
 
@@ -202,13 +197,16 @@ def phase_sweep(
     seed mix64 of that, so every cell is reproducible in isolation and the
     report is bitwise identical for any worker count. Records the solver
     success fraction under the run budget, with `use_oracle` exact
-    satisfiability, the mean runs-to-success and mean winner iterations
-    among solved cells (None when there is none), and, with `classify`, the
-    flow-family populations of the winning runs. The oracle needs
-    N <= oracle_cap: a larger N is a ValueError before any cell runs. The
-    cells spread over min(workers, cells) processes; one runs them in this
-    one, and a count below one is a ValueError.
+    satisfiability, and the mean runs-to-success and mean winner iterations
+    among solved cells (None when there is none). No cell records a run, and
+    `ec3 trace` gives flow families: `classify` stays for callers that pass
+    False, and True, like N > oracle_cap with the oracle, is a ValueError
+    before any cell runs. The cells spread over min(workers, cells)
+    processes; one runs them in this one, and a count below one is a
+    ValueError.
     """
+    if classify:
+        raise ValueError("phase_sweep classifies no flows: trace a cell with `ec3 trace`")
     if instances_per_r < 1:
         raise ValueError("instances_per_r must be at least 1")
     if run_budget < 1:
@@ -236,7 +234,7 @@ def phase_sweep(
         for i, (r, m) in enumerate(plan)
         for j in range(instances_per_r)
     ]
-    cell = partial(_sweep_cell, n_vars, config, run_budget, use_oracle, oracle_cap, classify)
+    cell = partial(_sweep_cell, n_vars, config, run_budget, use_oracle, oracle_cap)
     # a fork-started pool forks all its workers at the first submit, so
     # never ask for more than there are cells
     workers = min(workers, len(cells))
@@ -249,7 +247,7 @@ def phase_sweep(
     rows = []
     for i, (r, m) in enumerate(plan):
         chunk = outcomes[i * instances_per_r : (i + 1) * instances_per_r]
-        runs, iters, sats, counts = zip(*chunk)
+        runs, iters, sats = zip(*chunk)
         rows.append(
             SweepRow(
                 r=r,
@@ -260,7 +258,6 @@ def phase_sweep(
                 oracle_sat_frac=_mean(sats),
                 mean_runs_to_success=_mean(runs),
                 mean_winner_iterations=_mean(iters),
-                flow_counts=dict(sum(counts, Counter())),
             )
         )
     return SweepReport(rows)

@@ -184,6 +184,8 @@ def generate_instance(n_vars: int, n_clauses: int, seed: int) -> Instance:
             f"cannot draw {n_clauses} distinct clauses over {n_vars} variables "
             f"(only {math.comb(n_vars, 3)} exist)"
         )
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     seen = set()
     rows = []

@@ -203,8 +203,11 @@ def bsgd_run(
     budget without reaching a decision surface.
 
     The certificate flag records whether any strictly interior iterate had
-    F < 1, which proves satisfiability by the union bound regardless of
-    whether this particular run rounds to a solution.
+    F < 1. F < 1 anywhere in the closed cube certifies satisfiability: by
+    the union bound, a vertex drawn with independent coordinates of mean x
+    violates no clause with probability ≥ 1 − F(x) > 0. The solver tests
+    interior points only, because float F can read 0.9999999999999996 at a
+    face point whose exact F is 1.
 
     This is the descent engine on a batch of one; with `record`, the run's
     Trajectory comes from that batch's log (see `_descend`), and

@@ -1,9 +1,13 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import tempfile
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -12,20 +16,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ec3.flows
+import ec3.solver
 from ec3 import (
     CostFunction,
     SolverConfig,
     SweepRow,
     check_assignment,
     classify_flows,
+    clause_count_for_ratio,
+    derive_run_seed,
     make_instance,
+    mix64,
     parse_instance,
-    phase_sweep,
     solve_with_restarts,
     write_labels_csv,
     write_trajectory_csv,
 )
-from ec3.cli import _ratio_grid, build_parser, dumps17, main
+from ec3.cli import _ratio_grid, build_parser, dumps17, entry, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 REF15 = str(DATA / "ref15.ec3")
@@ -86,11 +93,17 @@ def test_generate_stdout_and_determinism(tmp_path, capsys):
 
 
 def test_generate_infeasible_is_usage_error(capsys):
-    for argv in (["-n", "4", "-m", "100"], ["-n", "10", "-m", "-5", "--seed", "1"]):
+    for argv in (
+        ["-n", "4", "-m", "100"],
+        ["-n", "10", "-m", "-5", "--seed", "1"],
+        ["-n", "24", "-m", "12", "--seed", "-1"],
+    ):
         rc = main(["generate"] + argv)
         assert rc == 2, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == "", argv
+        assert captured.err.count("\n") == 1, argv
+    assert captured.err == "error: seed must be >= 0, got -1\n"
 
 
 def test_generate_has_no_format_option(capsys):
@@ -484,9 +497,11 @@ def test_bad_output_path_fails_before_the_work(capsys, monkeypatch, tmp_path):
 
 
 def test_sweep_has_no_restarts_option(capsys):
-    # a sweep's run budget is --budget; --restarts would change nothing
-    assert main(SWEEP_ARGS + ["--restarts", "3"]) == 2
-    assert "--restarts" in capsys.readouterr().err
+    # a sweep's run budget is --budget; --restarts would change nothing, and
+    # a sweep records no run, so it takes no trajectory stride
+    for flag, value in (("--restarts", "3"), ("--record-every", "5")):
+        assert main(SWEEP_ARGS + [flag, value]) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_sweep_zero_step_is_usage_error(capsys, monkeypatch):
@@ -544,31 +559,48 @@ def test_sweep_grid_stops_below_r_to(capsys):
     assert [row["r"] for row in json.loads(capsys.readouterr().out)["rows"]] == [0.5, 0.8]
 
 
-def classify_calls(monkeypatch):
-    """The trajectories `phase_sweep` classifies, as it runs."""
-    calls = []
+def test_sweep_records_no_trajectories(tmp_path, monkeypatch, capsys):
+    def no_recording(*args, **kwargs):
+        raise AssertionError("a sweep recorded or classified a run")
 
-    def spy(trajectory):
-        calls.append(trajectory)
-        return classify_flows(trajectory)
-
-    monkeypatch.setattr(ec3.flows, "classify_flows", spy)
-    return calls
-
-
-def test_csv_sweep_classifies_no_flows(tmp_path, monkeypatch):
-    calls = classify_calls(monkeypatch)
+    monkeypatch.setattr(ec3.solver, "_Log", no_recording)
+    monkeypatch.setattr(ec3.flows, "classify_flows", no_recording)
     assert main(SWEEP_ARGS + ["-o", str(tmp_path / "sweep.csv")]) == 0
-    assert calls == []
-
-
-def test_json_sweep_flow_counts(capsys, monkeypatch):
-    calls = classify_calls(monkeypatch)
     assert main(SWEEP_ARGS + ["--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert calls  # some cell solved, and its winner was classified
-    want = phase_sweep(12, [0.25, 0.5], 2, SolverConfig(), 2, 5, classify=True)
-    assert [row["flow_counts"] for row in doc["rows"]] == [row.flow_counts for row in want.rows]
+    assert capsys.readouterr().err == ""
+
+
+# The flow-family counts that each row of the golden sweep's JSON document
+# (tests/test_golden.py's SWEEP) carried while sweeps classified their winners.
+GOLDEN_SWEEP_FLOW_COUNTS = [
+    {"V": 19, "II-up": 7, "Irregular": 3, "I": 3, "IV": 2, "III-down": 2},
+    {"V": 9, "Irregular": 8, "II-up": 7, "III-down": 5, "I": 6, "IV": 1},
+    {"Irregular": 5, "V": 13, "II-up": 8, "I": 3, "III-down": 5, "IV": 2},
+    {"III-down": 5, "I": 3, "Irregular": 6, "IV": 2, "V": 6, "II-up": 14},
+    {"V": 9, "II-up": 12, "Irregular": 4, "IV": 3, "II-down": 2, "III-down": 5, "I": 1},
+    {"II-up": 11, "IV": 4, "Irregular": 1, "III-down": 3, "V": 5},
+]
+
+
+def test_trace_of_each_sweep_cell_gives_its_flow_counts(tmp_path, capsys):
+    # sweep cell (i, j) is `ec3 generate` at its instance seed and `ec3
+    # trace` at mix64 of it; the labels of its solved cells sum to the row
+    grid = _ratio_grid(0.25, 0.5, 0.05)
+    assert len(grid) == len(GOLDEN_SWEEP_FLOW_COUNTS)
+    for i, (r, want) in enumerate(zip(grid, GOLDEN_SWEEP_FLOW_COUNTS)):
+        counts = Counter()
+        for j in range(3):
+            seed = derive_run_seed(5, (i << 32) | j)
+            path = str(tmp_path / f"cell-{i}-{j}.ec3")
+            m = clause_count_for_ratio(r, 12)
+            assert main(["generate", "-n", "12", "-m", str(m), "--seed", str(seed), "-o", path]) == 0
+            capsys.readouterr()
+            argv = ["trace", path, "--restarts", "3", "--seed", str(mix64(seed)), "--format", "json"]
+            solved = main(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            if solved:
+                counts.update(label["label"] for label in doc["labels"])
+        assert counts == want, r
 
 
 # --- trace --------------------------------------------------------------------
@@ -716,6 +748,25 @@ def test_help_and_unknown_command():
     assert main(["--help"]) == 0
     assert main(["frobnicate"]) == 2
     assert main([]) == 2  # a subcommand is required
+
+
+def test_console_script_entry(monkeypatch, capsys):
+    # the `ec3` console script and `python -m ec3.cli` call entry(), which
+    # exits with main's code
+    for argv, code in ((["verify", REF15, REF15_Z], 0), (["frobnicate"], 2)):
+        monkeypatch.setattr(sys, "argv", ["ec3", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            entry()
+        assert exit_info.value.code == code, argv
+    capsys.readouterr()
+    src = pathlib.Path(ec3.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-m", "ec3.cli", "--help"], env=env, capture_output=True)
+    assert run.returncode == 0 and run.stdout.startswith(b"usage: ec3 "), run.stderr
+    # no tomllib on Python 3.10: the [project.scripts] table is read as text
+    pyproject = (README.parent / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'ec3 = "ec3.cli:entry"'
 
 
 def test_readme_command_lines_parse(capsys):

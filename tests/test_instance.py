@@ -161,6 +161,8 @@ def test_index_outside_int32_is_out_of_range(index):
         pytest.param(
             lambda: generate_instance(10**23, 1, 0), "exceeds the int32 index range", id="generate-oversized-n"
         ),
+        # numpy's own message would name no argument
+        pytest.param(lambda: generate_instance(24, 12, -1), r"^seed must be >= 0, got -1$", id="generate-negative-seed"),
         # beyond the 4300 digits int() and str() take, the message a 30-digit
         # value gets, with no value printed
         pytest.param(
