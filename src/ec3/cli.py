@@ -22,9 +22,9 @@ finishes prints each warning it raised (every duplicate clause; other
 kinds as Python's warning filters allow) as one `warning:` line on stderr.
 
 --restarts is the run budget of solve and trace; a sweep's is --budget,
-runs per instance. --record-every, the trajectory stride, belongs to the
-one command that records, trace; a sweep records no run and does not
-take it. The --workers flag sets how many processes a sweep
+runs per instance. trace records on one fixed schedule, and a failed
+solve states one fixed stopping rule (q >= 0.25, k = 11); neither is a
+flag. The --workers flag sets how many processes a sweep
 spreads its cells over (at most one per cell); solve and trace run in one
 process and ignore it. A sweep's results are contractually identical for
 every worker count (each cell is seeded from its grid position alone), so
@@ -82,12 +82,12 @@ def _g9(x) -> str:
     return format(float(x), ".9g")
 
 
-def dumps17(obj, indent: int = 2) -> str:
-    """JSON text with every float rendered at 17 significant digits."""
+def dumps17(obj) -> str:
+    """JSON text indented by 2, with every float at 17 significant digits."""
 
     def render(o, level):
-        pad = " " * (indent * level)
-        pad_in = " " * (indent * (level + 1))
+        pad = "  " * level
+        pad_in = "  " * (level + 1)
         if o is None or isinstance(o, (bool, str)):
             return json.dumps(o)
         if isinstance(o, (int, np.integer)):
@@ -135,15 +135,15 @@ _DESCENT_SETTINGS = (  # (SolverConfig field, flag, help)
 )
 
 
-def _solver_config(args, **extra) -> SolverConfig:
+def _solver_config(args) -> SolverConfig:
     descent = {field: vars(args)[flag[2:].replace("-", "_")] for field, flag, _ in _DESCENT_SETTINGS}
-    return SolverConfig(**descent, seed=args.seed, **extra)
+    return SolverConfig(**descent, seed=args.seed)
 
 
 # The descent settings every solver command shares, then the fields each
-# command adds as keywords, in its own order: solve adds seed and restarts,
-# trace those and record_every; a sweep adds none (its run budget is
-# --budget, and each of its cells derives its own solver seed).
+# command adds as keywords, in its own order: solve and trace add seed and
+# restarts; a sweep adds none (its run budget is --budget, and each of its
+# cells derives its own solver seed).
 def _echo_solver_config(cfg: SolverConfig, **run) -> None:
     pairs = [(flag[2:], getattr(cfg, field)) for field, flag, _ in _DESCENT_SETTINGS]
     pairs += [(k.replace("_", "-"), v) for k, v in run.items()]
@@ -214,11 +214,13 @@ def cmd_generate(args) -> int:
     return 0
 
 
+# the per-run success q and Chebyshev k of the rule a failed solve states
+_ASSUMED_Q, _CHEBYSHEV_K = 0.25, 11.0
+
+
 def cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
     cfg = _solver_config(args)
-    # checked before the solve: a bad flag is a usage error on every outcome
-    rule = stopping_rule(args.assume_q, args.chebyshev_k)
     f = CostFunction.from_instance(inst)
     outcome = solve_with_restarts(f, cfg, args.restarts)
     stats = outcome.stats
@@ -245,8 +247,9 @@ def cmd_solve(args) -> int:
                 f"runs: {stats.runs_attempted}  successes: {stats.successes}  "
                 f"q_hat: {_g9(stats.q_hat)}  n_s_hat: {ns}  sigma_hat: {sd}"
             )
+            rule = stopping_rule(_ASSUMED_Q, _CHEBYSHEV_K)
             print(
-                f"stopping rule: assuming q >= {_g9(args.assume_q)} (k={_g9(args.chebyshev_k)}), "
+                f"stopping rule: assuming q >= {_g9(_ASSUMED_Q)} (k={_g9(_CHEBYSHEV_K)}), "
                 f"{rule.required_runs} runs bound the failure probability by "
                 f"{_g9(rule.failure_prob_bound)}; attempted {stats.runs_attempted}"
             )
@@ -412,8 +415,8 @@ def cmd_trace(args) -> int:
             raise ValueError("trace in csv format needs --output (two files are written)")
         _check_writable(_labels_path(args.output))
     inst = _read_instance(args.instance)
-    cfg = _solver_config(args, record_every=args.record_every)
-    fields = dict(seed=cfg.seed, restarts=args.restarts, record_every=cfg.record_every)
+    cfg = _solver_config(args)
+    fields = dict(seed=cfg.seed, restarts=args.restarts)
     f = CostFunction.from_instance(inst)
     outcome = solve_with_restarts(f, cfg, args.restarts, record=True)
     index = outcome.traced_index
@@ -514,8 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", parents=[solver_p, out_p], help="multi-restart descent (no trajectory)")
     s.add_argument("instance")
     s.add_argument("--restarts", type=int, default=10, help="maximum runs")
-    s.add_argument("--assume-q", type=float, default=0.25, help="assumed per-run success probability for the stopping rule")
-    s.add_argument("--chebyshev-k", type=float, default=11.0, help="confidence parameter k of the stopping rule")
     s.set_defaults(func=cmd_solve)
 
     o = sub.add_parser(
@@ -544,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("trace", parents=[solver_p, out_p, format_p], help="solve, recording the winning run; classify its flows and check the starting-slope law")
     t.add_argument("instance")
     t.add_argument("--restarts", type=int, default=10, help="maximum runs")
-    t.add_argument("--record-every", type=int, default=SolverConfig.record_every, help="trajectory stride")
     t.set_defaults(func=cmd_trace)
 
     return parser

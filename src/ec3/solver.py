@@ -85,7 +85,6 @@ class SolverConfig:
     max_iters: int = 1_000_000
     stop_tol: float = 1e-12    # max-norm displacement treated as a fixed point
     seed: int = 0
-    record_every: int = 10      # trajectory sampling stride
 
     def __post_init__(self):
         # a NaN or infinite step or tolerance would spin every run to max_iters
@@ -95,11 +94,9 @@ class SolverConfig:
             raise ValueError("start_radius must lie in (0, 1/2)")
         if not 0 <= self.stop_tol < math.inf:
             raise ValueError("stop_tol must be nonnegative and finite")
-        # a fractional count would run or sample one step past its value
-        for name in ("max_iters", "record_every"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        # a fractional count would run one step past its value
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -109,17 +106,15 @@ class Trajectory:
     Iteration indices are 1-based: index 1 is the start point X^(1) and
     index t+1 is the point after t update steps, so the first recorded
     displacement is snapshot(2) − snapshot(1). The first five updates are
-    always recorded at stride 1 (the starting-slope law needs them); later
-    iterations are sampled every `stride` steps, plus the final iterate.
-    `stride` starts at `SolverConfig.record_every` and doubles each time the
-    run fills its snapshot budget, so a long run keeps iterations
-    {1, …, 6} ∪ {k + 1 : k mod stride = 0} ∪ {final}.
+    always recorded at stride 1 (the starting-slope law needs them), later
+    ones every s steps, plus the final iterate. s starts at 10 and doubles
+    each time the run fills its snapshot budget, so a long run keeps
+    iterations {1, …, 6} ∪ {k + 1 : k mod s = 0} ∪ {final}.
     """
 
     iterations: np.ndarray  # (T,), strictly increasing, starts at 1
     costs: np.ndarray       # (T,), F at each snapshot
     snapshots: np.ndarray   # (T, N)
-    stride: int
 
     def snapshot_at(self, iteration: int) -> np.ndarray:
         """The recorded point X^(iteration); KeyError if not sampled."""
@@ -142,9 +137,9 @@ class RunResult:
 
 
 def round_point(x: np.ndarray, stop_tol: float) -> np.ndarray:
-    """Round a point to a bit assignment: x_i above 1/2 → z_i = 0, below →
-    z_i = 1, and a stop_tol-wide tie band at 1/2 (e.g. variables that appear
-    in no clause and never move) resolves to z_i = 0 for determinism."""
+    """Round a point to a bit assignment: z_i = 0 iff x_i ≥ 1/2 − stop_tol.
+    A variable in no clause never moves, so it rounds by its start, which a
+    solve draws uniformly from [1/2 − r, 1/2 + r]."""
     return np.where(x >= 0.5 - stop_tol, 0, 1).astype(np.uint8)
 
 
@@ -223,6 +218,9 @@ def bsgd_run(
 # other sample past the stride-1 head and doubles its stride, so a log holds
 # at most _MAX_SNAPSHOTS samples of its live rows however long they run.
 _MAX_SNAPSHOTS = 1024
+# A log's first stride past the head: calibration, like the classifier's
+# thresholds, since `classify_flows` reads dwell fractions of the samples.
+_RECORD_EVERY = 10
 
 
 class _Log:
@@ -231,8 +229,8 @@ class _Log:
     row of F and X. Live rows step together, so one log serves them all,
     and a row is in every sample taken while it was live."""
 
-    def __init__(self, stride: int, rows, F, X):
-        self.stride = stride
+    def __init__(self, rows, F, X):
+        self.stride = _RECORD_EVERY
         self.samples = [(1, rows, F, X)]
 
     def due(self, k: int) -> bool:
@@ -267,7 +265,6 @@ class _Log:
             iterations=np.array(iterations, dtype=np.int64),
             costs=np.array(costs),
             snapshots=np.array(snapshots),
-            stride=self.stride,
         )
 
 
@@ -287,7 +284,7 @@ def _descend(
     before it run on. Returns one RunResult per row, None for a dropped row.
 
     With `record`, one `_Log` samples the live rows at the start, the
-    first five updates and every `record_every`-th update, at most
+    first five updates and every `_RECORD_EVERY`-th update, at most
     `_MAX_SNAPSHOTS` samples (a full log thins to a doubled stride). A row
     that ends Solved and, with `keep_first` (a solve's first batch, whose
     row 0 is traced when no run solves), row 0 take their Trajectory from
@@ -306,7 +303,7 @@ def _descend(
     rows = np.arange(len(X))  # the row of `starts` behind each live row
     results = [None] * len(X)
     # every step makes new X, F and rows arrays: the log keeps them uncopied
-    log = _Log(config.record_every, rows, F, X) if record else None
+    log = _Log(rows, F, X) if record else None
 
     k = 0
     while len(rows):

@@ -116,9 +116,16 @@ def test_generate_has_no_format_option(capsys):
             assert main([command, REF15, "--format", fmt]) == 2
             assert "--format" in capsys.readouterr().err
     # trace is the one command that writes a trajectory, so solve takes
-    # neither a trace file nor its stride
-    for flag, value in (("--trace", "x.csv"), ("--record-every", "5")):
-        assert main(["solve", REF15, flag, value]) == 2
+    # neither a trace file nor its stride; the stride and the stopping rule
+    # a failed solve states are constants, not flags
+    for command, flag, value in (
+        ("solve", "--trace", "x.csv"),
+        ("solve", "--record-every", "5"),
+        ("trace", "--record-every", "5"),
+        ("solve", "--assume-q", "0.5"),
+        ("solve", "--chebyshev-k", "3"),
+    ):
+        assert main([command, REF15, flag, value]) == 2
         assert flag in capsys.readouterr().err
 
 
@@ -300,10 +307,6 @@ def test_solve_flags_are_checked_before_the_solve(capsys, monkeypatch):
 
     monkeypatch.setattr("ec3.cli.solve_with_restarts", no_solve)
     cases = (
-        ["--assume-q", "5"],
-        ["--assume-q", "1e-320"],
-        ["--chebyshev-k", "inf"],
-        ["--chebyshev-k", "nan"],
         ["--eta", "nan"],
         ["--eta", "inf"],
         ["--tol", "nan"],
@@ -661,6 +664,9 @@ def test_trace_of_the_flow_gallery_instance(tmp_path, capsys):
     assert main(["trace", str(inst), "--seed", "11", "--workers", "1", "-o", str(out)]) == 0
     echoed = capsys.readouterr().out
     assert "c starting-slope law: 1000/1000 variables within 0.1*eta of eta*C_k/4" in echoed
+    # README's line: the flow labels at the recording stride and thresholds
+    flows = "flow families: I=3  II-down=4  II-up=43  III-down=7  IV=14  Irregular=1  V=928"
+    assert flows in echoed.splitlines()
 
     instance = parse_instance(inst.read_text())
     outcome = solve_with_restarts(CostFunction.from_instance(instance), SolverConfig(seed=11), 10, record=True)

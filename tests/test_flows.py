@@ -35,7 +35,7 @@ from ec3.flows import _g17
 T = 100  # snapshot count for the synthetic flows below
 
 
-def synth(columns, stride=10):
+def synth(columns):
     """Trajectory from per-variable coordinate histories (lists of length T)."""
     s = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     t = s.shape[0]
@@ -43,7 +43,6 @@ def synth(columns, stride=10):
         iterations=np.arange(1, t + 1, dtype=np.int64),
         costs=np.zeros(t),
         snapshots=s,
-        stride=stride,
     )
 
 
@@ -222,7 +221,7 @@ def test_classifier_matches_rule_by_rule_reference(monkeypatch):
 
 
 def center_run(f, eta=0.005):
-    cfg = SolverConfig(eta=eta, max_iters=30, record_every=10)
+    cfg = SolverConfig(eta=eta, max_iters=30)
     return bsgd_run(f, cfg, np.full(f.n_vars, 0.5), record=True)
 
 
@@ -246,7 +245,7 @@ def test_initial_slope_zero_degree_is_exactly_zero():
 
 
 def test_initial_slope_requires_early_snapshots():
-    t = Trajectory(np.array([1, 50, 100]), np.zeros(3), np.full((3, 2), 0.5), 50)
+    t = Trajectory(np.array([1, 50, 100]), np.zeros(3), np.full((3, 2), 0.5))
     with pytest.raises(ValueError, match="early snapshots"):
         initial_slope_check(t, 0.005, [1, 1])
     with pytest.raises(ValueError, match="early snapshots"):
@@ -413,7 +412,6 @@ def test_trajectory_csv_golden():
         np.array([1, 2], dtype=np.int64),
         np.array([2.5, 0.125]),
         np.array([[0.5, 0.25], [1.0 / 3.0, 1.0]]),
-        stride=10,
     )
     buf = io.StringIO()
     write_trajectory_csv(t, buf)
@@ -452,9 +450,9 @@ def test_trajectory_csv_keeps_signed_zeros_and_nans_apart():
     # 0.0 and could merge the NaNs
     payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
     snaps = np.array([[0.0, -0.0, np.nan, payload_nan], [np.inf, -np.inf, -0.0, 1.0 / 3.0]])
-    t = Trajectory(np.array([1, 2], dtype=np.int64), np.array([1.0, -0.0]), snaps, 1)
+    t = Trajectory(np.array([1, 2], dtype=np.int64), np.array([1.0, -0.0]), snaps)
     assert_trajectory_csv_matches_reference(t)
-    empty = Trajectory(np.array([1], dtype=np.int64), np.ones(1), np.zeros((1, 0)), 1)
+    empty = Trajectory(np.array([1], dtype=np.int64), np.ones(1), np.zeros((1, 0)))
     assert_trajectory_csv_matches_reference(empty)
 
 

@@ -4,10 +4,20 @@ Each command runs in a temporary copy of tests/data and names its files by
 relative paths, so no checkout path lands in the bytes. A case gives the
 command line, its exit code, the golden file of its stdout and, for each file
 the command writes, the golden file of that. stderr must stay empty.
+
+Run as a script, `PYTHONPATH=src python tests/test_golden.py`, it rewrites
+every golden file from its case, with the same runner. It writes nothing
+when a case exits with another code or prints to stderr, or when two cases
+give one golden file different bytes.
 """
 
+import contextlib
+import io
+import os
 import pathlib
 import shutil
+import sys
+import tempfile
 
 import pytest
 
@@ -67,15 +77,53 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_cli_output_matches_golden(name, tmp_path, monkeypatch, capsys):
-    argv, code, stdout, written = CASES[name]
-    work = tmp_path / "data"
+def run_case(name, tmp):
+    """Run case `name` in a copy of tests/data under `tmp`: its exit code,
+    stderr, and {golden file: bytes the case gave it}."""
+    argv, _, stdout, written = CASES[name]
+    work = pathlib.Path(tmp) / "data"
     shutil.copytree(DATA, work, ignore=shutil.ignore_patterns("golden"))
-    monkeypatch.chdir(work)
-    assert main(argv) == code
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out.encode() == (GOLDEN / stdout).read_bytes()
-    for path, golden in written.items():
-        assert (work / path).read_bytes() == (GOLDEN / golden).read_bytes(), path
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    got = {stdout: out.getvalue().encode()}
+    got.update({golden: (work / path).read_bytes() for path, golden in written.items()})
+    return code, err.getvalue(), got
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_cli_output_matches_golden(name, tmp_path):
+    code, err, got = run_case(name, tmp_path)
+    assert code == CASES[name][1]
+    assert err == ""
+    for golden, data in got.items():
+        assert data == (GOLDEN / golden).read_bytes(), golden
+
+
+def regenerate() -> int:
+    """Rewrite every golden file from CASES, or none if a case is refused."""
+    files, refused = {}, []
+    for name, case in CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err, got = run_case(name, tmp)
+        if code != case[1] or err:
+            refused.append(f"{name}: exit {code} (expected {case[1]}), stderr {err!r}")
+        for golden, data in got.items():
+            if files.setdefault(golden, data) != data:
+                refused.append(f"{name}: {golden} differs from an earlier case's")
+    if refused:
+        print("refused, nothing written:\n" + "\n".join(refused), file=sys.stderr)
+        return 1
+    for golden, data in files.items():
+        (GOLDEN / golden).write_bytes(data)
+        print(f"wrote {GOLDEN.name}/{golden}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

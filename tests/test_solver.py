@@ -45,7 +45,8 @@ from test_cost import reference_cost, reference_gradient
 def reference_run(f, config, start, record=False) -> RunResult:
     """One projected-descent run, one point at a time, on the two-pass
     reference kernel: the loop the batched engine replaced, kept as the
-    reference it must match bit for bit."""
+    reference it must match bit for bit. It records on the engine's
+    schedule, read from `ec3.solver._RECORD_EVERY` when it runs."""
     inst = f.instance
     x = np.asarray(start, dtype=np.float64).copy()
     eta = config.eta
@@ -69,7 +70,7 @@ def reference_run(f, config, start, record=False) -> RunResult:
         cost_now = reference_cost(inst, x)
         if cost_now < 1.0 and bool(np.all((x > 0.0) & (x < 1.0))):
             certificate = True
-        if record and (k <= 5 or k % config.record_every == 0):
+        if record and (k <= 5 or k % ec3.solver._RECORD_EVERY == 0):
             iters_log.append(k + 1)
             costs_log.append(cost_now)
             snaps_log.append(x.copy())
@@ -103,7 +104,6 @@ def reference_run(f, config, start, record=False) -> RunResult:
             iterations=np.array(iters_log, dtype=np.int64),
             costs=np.array(costs_log),
             snapshots=np.array(snaps_log),
-            stride=config.record_every,
         )
     return RunResult(status, x, cost_now, float(vcost), rounded, k, certificate, trajectory)
 
@@ -136,7 +136,6 @@ def assert_same_run(got, want):
     assert (got.trajectory is None) == (want.trajectory is None)
     if want.trajectory is not None:
         a, b = got.trajectory, want.trajectory
-        assert a.stride == b.stride
         assert a.iterations.tobytes() == b.iterations.tobytes()
         assert a.costs.tobytes() == b.costs.tobytes()
         assert a.snapshots.tobytes() == b.snapshots.tobytes()
@@ -201,15 +200,13 @@ def test_derive_run_seed_is_base_xor_mix():
         dict(start_radius=0.5),
         dict(stop_tol=-1e-9),
         dict(max_iters=0),
-        dict(record_every=0),
         # non-finite values would spin every run to max_iters
         dict(eta=float("nan")),
         dict(eta=float("inf")),
         dict(stop_tol=float("nan")),
         dict(stop_tol=float("inf")),
-        # a fractional count would run or sample one step past its value
+        # a fractional count would run one step past its value
         dict(max_iters=2.5),
-        dict(record_every=2.5),
     ],
 )
 def test_solver_config_validation(bad):
@@ -408,6 +405,8 @@ def test_run_zero_degree_variable_never_moves():
     res = bsgd_run(f, SolverConfig(), start, record=True)
     assert np.all(res.trajectory.snapshots[:, 3] == 0.37)
     assert np.all(res.trajectory.snapshots[:, 4] == 0.62)
+    # each rounds by its start, not by a tie
+    assert res.rounded[3] == 1 and res.rounded[4] == 0
 
 
 def test_run_unsatisfiable_instance_converges_unsolved(unsat4_cost):
@@ -437,7 +436,7 @@ def test_run_iteration_cap_status(ref15_cost):
 
 
 def test_trajectory_sampling_layout(ref15_cost):
-    cfg = SolverConfig(seed=0, record_every=10)
+    cfg = SolverConfig(seed=0)
     res = rerun_with_trajectory(ref15_cost, cfg, 0)
     t = res.trajectory
     it = t.iterations
@@ -452,7 +451,6 @@ def test_trajectory_sampling_layout(ref15_cost):
     assert it[-1] == res.iterations + 1  # final iterate always recorded
     assert t.costs.shape == (len(it),)
     assert t.snapshots.shape == (len(it), 15)
-    assert t.stride == 10
     assert np.array_equal(t.snapshot_at(1), _run_start(ref15_cost, cfg, 0))  # run 0's
 
 
@@ -472,11 +470,18 @@ def test_trajectory_costs_match_cost_function(ref15_cost):
         assert t.costs[i] == ref15_cost.cost(t.snapshots[i])
 
 
+def sampled_stride(t) -> int:
+    """The stride of `t`'s samples past the stride-1 head: the gap between
+    the first two before the final iterate, or 1 with fewer of them."""
+    late = t.iterations[6:-1]
+    return int(late[1] - late[0]) if len(late) > 1 else 1
+
+
 def assert_thinned_from(t, reference, iterations, budget):
     """`t` is a stride-1 run of `iterations` updates thinned to `budget`:
     the stride-1 head, the multiples of its stride, and the final
     iterate, each bitwise the reference's snapshot there."""
-    s = t.stride
+    s = sampled_stride(t)
     kept = sorted({1, 2, 3, 4, 5, 6, iterations + 1} | {k + 1 for k in range(s, iterations + 1, s)})
     kept = [it for it in kept if it <= iterations + 1]
     assert len(t.iterations) <= budget
@@ -487,15 +492,16 @@ def assert_thinned_from(t, reference, iterations, budget):
         assert _bits(cost) == _bits(reference.costs[int(it) - 1])
 
 
-def test_trajectory_budget_thins_long_runs(ref15_cost):
+def test_trajectory_budget_thins_long_runs(monkeypatch, ref15_cost):
     # a capped stride-1 run three times longer than the snapshot budget
+    monkeypatch.setattr(ec3.solver, "_RECORD_EVERY", 1)
     budget = ec3.solver._MAX_SNAPSHOTS
-    cfg = SolverConfig(eta=1e-7, max_iters=3 * budget + 17, record_every=1)
+    cfg = SolverConfig(eta=1e-7, max_iters=3 * budget + 17)
     start = _run_start(ref15_cost, cfg, 0)
     reference = reference_run(ref15_cost, cfg, start, record=True).trajectory
     run = bsgd_run(ref15_cost, cfg, start, record=True)
     assert run.status == ITERATION_CAP
-    assert run.trajectory.stride == 4
+    assert sampled_stride(run.trajectory) == 4
     assert run.trajectory.iterations[:6].tolist() == [1, 2, 3, 4, 5, 6]
     assert run.trajectory.iterations[-1] == cfg.max_iters + 1
     assert_thinned_from(run.trajectory, reference, cfg.max_iters, budget)
@@ -509,7 +515,8 @@ def test_trajectory_budget_at_every_run_length(monkeypatch, ref15_cost):
     # with a budget of 16, every cap from 1 to 120 updates: logs that fill
     # on a sampled step and on the final one
     monkeypatch.setattr(ec3.solver, "_MAX_SNAPSHOTS", 16)
-    longest = SolverConfig(eta=1e-7, max_iters=120, record_every=1)
+    monkeypatch.setattr(ec3.solver, "_RECORD_EVERY", 1)
+    longest = SolverConfig(eta=1e-7, max_iters=120)
     start = _run_start(ref15_cost, longest, 0)
     reference = reference_run(ref15_cost, longest, start, record=True).trajectory
     for cap in range(1, 121):
@@ -538,10 +545,11 @@ def test_batch_log_thins_for_rows_that_stop_apart(monkeypatch):
     # stops on a step the full log did not sample: once row 0 first, once
     # the winner first.
     monkeypatch.setattr(ec3.solver, "_MAX_SNAPSHOTS", 16)
+    monkeypatch.setattr(ec3.solver, "_RECORD_EVERY", 1)
     f = CostFunction.from_instance(generate_instance(30, 13, 0))
     found = {}
     for seed in range(64):
-        cfg = SolverConfig(seed=seed, record_every=1)
+        cfg = SolverConfig(seed=seed)
         out = solve_with_restarts(f, cfg, max_runs=14)
         if out.solved and out.winner_index > 0:
             first, win = out.results[0].iterations, out.winner.iterations
@@ -689,11 +697,12 @@ def test_engine_matches_reference_at_n1000(m):
         assert_solve_matches_reference(f, SolverConfig(seed=1000 + s), 2)
 
 
-def test_engine_matches_reference_on_edge_runs(unsat4_cost):
+def test_engine_matches_reference_on_edge_runs(monkeypatch, unsat4_cost):
+    monkeypatch.setattr(ec3.solver, "_RECORD_EVERY", 3)
     empty = CostFunction.from_instance(make_instance(3, np.zeros((0, 3), np.int32)))
     assert_solve_matches_reference(empty, SolverConfig(seed=4), 3)
     assert_solve_matches_reference(unsat4_cost, SolverConfig(seed=1), 6)
-    capped = SolverConfig(seed=2, max_iters=7, record_every=3)
+    capped = SolverConfig(seed=2, max_iters=7)
     f = CostFunction.from_instance(generate_instance(24, 18, 5))
     out = assert_solve_matches_reference(f, capped, 5)
     assert [r.status for r in out.results] == [ITERATION_CAP] * 5
@@ -711,9 +720,10 @@ def test_engine_matches_reference_on_edge_runs(unsat4_cost):
             )
 
 
-def test_engine_recorded_runs_match_reference():
+def test_engine_recorded_runs_match_reference(monkeypatch):
+    monkeypatch.setattr(ec3.solver, "_RECORD_EVERY", 7)
     f = CostFunction.from_instance(generate_instance(100, 40, 1))
-    cfg = SolverConfig(seed=3, record_every=7)
+    cfg = SolverConfig(seed=3)
     for index in range(3):
         start = _run_start(f, cfg, index)
         assert_same_run(
