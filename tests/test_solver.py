@@ -200,6 +200,7 @@ def test_derive_run_seed_is_base_xor_mix():
         dict(start_radius=0.5),
         dict(stop_tol=-1e-9),
         dict(max_iters=0),
+        dict(max_iters=1e6),  # a float literal, even an integral one, is no count
         # non-finite values would spin every run to max_iters
         dict(eta=float("nan")),
         dict(eta=float("inf")),
