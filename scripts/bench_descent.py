@@ -30,7 +30,7 @@ from ec3 import (  # noqa: E402
     generate_instance,
     restart_start,
 )
-from ec3.solver import _descend  # noqa: E402
+from ec3.solver import _START_RADIUS, _descend  # noqa: E402
 
 
 def parse_sizes(text):
@@ -57,7 +57,7 @@ def step_times(n, m, widths, steps, reps):
     out = {}
     for width in widths:
         starts = np.array(
-            [restart_start(n, cfg.start_radius, np.random.default_rng(i)) for i in range(width)]
+            [restart_start(n, _START_RADIUS, np.random.default_rng(i)) for i in range(width)]
         )
         times = {False: [], True: []}
         for _ in range(reps):

@@ -22,15 +22,15 @@ finishes prints each warning it raised (every duplicate clause; other
 kinds as Python's warning filters allow) as one `warning:` line on stderr.
 
 --restarts is the run budget of solve and trace; a sweep's is --budget,
-runs per instance. trace records on one fixed schedule, and a failed
-solve states one fixed stopping rule (q >= 0.25, k = 11); neither is a
-flag. The --workers flag sets how many processes a sweep
-spreads its cells over (at most one per cell); solve and trace run in one
-process and ignore it. A sweep's results are contractually identical for
-every worker count (each cell is seeded from its grid position alone), so
-the worker count is not part of the reproducibility header. A sweep's
-header carries neither a solver seed nor restarts: each cell derives its
-own seed from the instance seed, and its budget is echoed as budget=.
+runs per instance. The start half-width (0.05), the stop tolerance (1e-12),
+trace's recording schedule and a failed solve's stopping rule
+(q >= 0.25, k = 11) are fixed, not flags. The --workers flag sets how many
+processes a sweep spreads its cells over (at most one per cell); solve and
+trace run in one process and ignore it. A sweep's results are contractually
+identical for every worker count (each cell is seeded from its grid position
+alone), so the worker count is not part of the reproducibility header. A
+sweep's header carries neither a solver seed nor restarts: each cell derives
+its own seed from the instance seed, and its budget is echoed as budget=.
 """
 
 from __future__ import annotations
@@ -129,9 +129,7 @@ def _read_instance(path: str):
 # flag takes its field's default and type.
 _DESCENT_SETTINGS = (  # (SolverConfig field, flag, help)
     ("eta", "--eta", "gradient step size"),
-    ("start_radius", "--radius", "start half-width: each coordinate uniform on [1/2 - radius, 1/2 + radius]"),
     ("max_iters", "--max-iters", None),
-    ("stop_tol", "--tol", "fixed-point displacement tolerance"),
 )
 
 

@@ -78,7 +78,8 @@ def initial_slope_check(trajectory: Trajectory, eta: float, clause_degree) -> Sl
     point sitting near, not at, the exact center. Requires the trajectory to
     have recorded iterations 1 and 2 (stride 1 near the start)."""
     observed = _first_displacement(trajectory)
-    predicted = eta * np.asarray(clause_degree, dtype=np.float64) / 4.0
+    with np.errstate(over="ignore"):  # past eta ≈ 1e307 it is inf: a miss
+        predicted = eta * np.asarray(clause_degree, dtype=np.float64) / 4.0
     ok = np.abs(observed - predicted) <= 0.1 * eta
     return SlopeCheck(observed, predicted, ok)
 

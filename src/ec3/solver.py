@@ -1,11 +1,10 @@
 """Small-step projected gradient descent on F with multi-restart.
 
-One run: start near the hypercube center with every coordinate drawn
-independently and uniformly from [1/2 − r, 1/2 + r], r = `start_radius`;
-repeat x ← clamp(x − η·∇F(x), 0, 1) until no coordinate moves more than
-`stop_tol` (or an iteration cap), round the final point to a bit assignment,
-and verify it. The interior point (2/3, …, 2/3) is a stationary saddle of
-every F and must not be used as a start.
+One run: draw each start coordinate independently and uniformly from
+[1/2 − 0.05, 1/2 + 0.05], near the hypercube center; repeat
+x ← clamp(x − η·∇F(x), 0, 1) until no coordinate moves more than 1e-12
+(or an iteration cap); round the final point to a bit assignment and
+verify it. The stationary saddle (2/3, …, 2/3) of every F is never a start.
 
 The per-coordinate start spread does not shrink with N. A start on a sphere
 of radius r (`sample_start`) moves each coordinate by only about r/√N, and at
@@ -80,20 +79,14 @@ def derive_run_seed(base_seed: int, run_index: int) -> int:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    eta: float = 0.005          # gradient step size
-    start_radius: float = 0.05  # per-coordinate start half-width around 1/2
+    eta: float = 0.005  # gradient step size
     max_iters: int = 1_000_000
-    stop_tol: float = 1e-12    # max-norm displacement treated as a fixed point
     seed: int = 0
 
     def __post_init__(self):
-        # a NaN or infinite step or tolerance would spin every run to max_iters
+        # a NaN or infinite step would spin every run to max_iters
         if not 0 < self.eta < math.inf:
             raise ValueError("eta must be positive and finite")
-        if not 0 < self.start_radius < 0.5:
-            raise ValueError("start_radius must lie in (0, 1/2)")
-        if not 0 <= self.stop_tol < math.inf:
-            raise ValueError("stop_tol must be nonnegative and finite")
         # a fractional count would run one step past its value
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
@@ -136,11 +129,11 @@ class RunResult:
     trajectory: Trajectory | None = None
 
 
-def round_point(x: np.ndarray, stop_tol: float) -> np.ndarray:
-    """Round a point to a bit assignment: z_i = 0 iff x_i ≥ 1/2 − stop_tol.
+def round_point(x: np.ndarray) -> np.ndarray:
+    """Round a point to a bit assignment: z_i = 0 iff x_i ≥ 1/2 − 1e-12.
     A variable in no clause never moves, so it rounds by its start, which a
-    solve draws uniformly from [1/2 − r, 1/2 + r]."""
-    return np.where(x >= 0.5 - stop_tol, 0, 1).astype(np.uint8)
+    solve draws uniformly from [1/2 − 0.05, 1/2 + 0.05]."""
+    return np.where(x >= 0.5 - _STOP_TOL, 0, 1).astype(np.uint8)
 
 
 def _usable_start(n_vars: int, radius: float, propose) -> np.ndarray:
@@ -190,7 +183,7 @@ def bsgd_run(
     """One projected-gradient descent run from a given interior start point.
 
     Every iterate is clamped to [0, 1]^N. The run stops when the max-norm
-    displacement of an update is at most stop_tol, or at max_iters. The final
+    displacement of an update is at most 1e-12, or at max_iters. The final
     point is rounded to Z and verified; Solved means the rounded vertex has
     cost exactly 0 and passes the combinatorial check. A convergence onto a
     numerically stationary non-vertex point (gradient max-norm below 1e-15,
@@ -221,6 +214,10 @@ _MAX_SNAPSHOTS = 1024
 # A log's first stride past the head: calibration, like the classifier's
 # thresholds, since `classify_flows` reads dwell fractions of the samples.
 _RECORD_EVERY = 10
+# A restart's start half-width around 1/2: the start law criterion 06 passes on.
+_START_RADIUS = 0.05
+# The fixed-point step bound and the rounding tie band (x_i ≥ 1/2 − tol → 0).
+_STOP_TOL = 1e-12
 
 
 class _Log:
@@ -306,44 +303,46 @@ def _descend(
     log = _Log(rows, F, X) if record else None
 
     k = 0
-    while len(rows):
-        k += 1
-        # clamp to [0, 1] as np.clip does (the two differ only on -0.0,
-        # which no iterate can hold) at a fraction of its call cost
-        Xn = X - eta * G
-        np.maximum(Xn, 0.0, out=Xn)
-        np.minimum(Xn, 1.0, out=Xn)
-        delta = np.max(np.abs(Xn - X), axis=1)
-        X = Xn
-        F, G = f.cost_and_gradient(X, index)
-        low = F < 1.0
-        if low.any():
-            certificate |= low & np.all((X > 0.0) & (X < 1.0), axis=1)
-        if log is not None and log.due(k):
-            log.add(k, rows, F, X)
-        if delta.min() > config.stop_tol and k < config.max_iters:
-            continue
-        converged = delta <= config.stop_tol
-        stopped = converged if k < config.max_iters else np.ones_like(converged)
-        live = ~stopped
-        for i in np.flatnonzero(stopped):
-            r = rows[i]
-            res = results[r] = _finish(f, config, X[i], F[i], G[i], k, converged[i], certificate[i])
-            if log is not None and (res.status == SOLVED or (r == 0 and keep_first)):
-                res.trajectory = log.trajectory(r, k, F[i], X[i])
-            if res.status == SOLVED:
-                live &= rows < r  # no row after a success is reported
-                break
-        X, G, certificate, rows = X[live], G[live], certificate[live], rows[live]
-        if len(rows):
-            index = f.batch_index(len(rows))
+    # a huge eta overflows eta·∇F to ±inf, a step the clamp maps to a face
+    with np.errstate(over="ignore"):
+        while len(rows):
+            k += 1
+            # clamp to [0, 1] as np.clip does (the two differ only on -0.0,
+            # which no iterate can hold) at a fraction of its call cost
+            Xn = X - eta * G
+            np.maximum(Xn, 0.0, out=Xn)
+            np.minimum(Xn, 1.0, out=Xn)
+            delta = np.max(np.abs(Xn - X), axis=1)
+            X = Xn
+            F, G = f.cost_and_gradient(X, index)
+            low = F < 1.0
+            if low.any():
+                certificate |= low & np.all((X > 0.0) & (X < 1.0), axis=1)
+            if log is not None and log.due(k):
+                log.add(k, rows, F, X)
+            if delta.min() > _STOP_TOL and k < config.max_iters:
+                continue
+            converged = delta <= _STOP_TOL
+            stopped = converged if k < config.max_iters else np.ones_like(converged)
+            live = ~stopped
+            for i in np.flatnonzero(stopped):
+                r = rows[i]
+                res = results[r] = _finish(f, X[i], F[i], G[i], k, converged[i], certificate[i])
+                if log is not None and (res.status == SOLVED or (r == 0 and keep_first)):
+                    res.trajectory = log.trajectory(r, k, F[i], X[i])
+                if res.status == SOLVED:
+                    live &= rows < r  # no row after a success is reported
+                    break
+            X, G, certificate, rows = X[live], G[live], certificate[live], rows[live]
+            if len(rows):
+                index = f.batch_index(len(rows))
     return results
 
 
-def _finish(f, config, x, cost_now, grad, k, converged, certificate) -> RunResult:
+def _finish(f, x, cost_now, grad, k, converged, certificate) -> RunResult:
     """Round, verify and classify a run that stopped at x after k updates;
     `grad` is ∇F at x."""
-    rounded = round_point(x, config.stop_tol)
+    rounded = round_point(x)
     vcost = f.vertex_cost(rounded)
     verdict = check_assignment(f.instance, rounded)
     if verdict.satisfied and vcost == 0.0:
@@ -420,7 +419,7 @@ _MAX_BATCH_ELEMENTS = 16384
 def _run_start(f: CostFunction, config: SolverConfig, index: int) -> np.ndarray:
     """The start point of restart `index`."""
     rng = np.random.default_rng(derive_run_seed(config.seed, index))
-    return restart_start(f.n_vars, config.start_radius, rng)
+    return restart_start(f.n_vars, _START_RADIUS, rng)
 
 
 def solve_with_restarts(

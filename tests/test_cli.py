@@ -116,16 +116,21 @@ def test_generate_has_no_format_option(capsys):
             assert main([command, REF15, "--format", fmt]) == 2
             assert "--format" in capsys.readouterr().err
     # trace is the one command that writes a trajectory, so solve takes
-    # neither a trace file nor its stride; the stride and the stopping rule
-    # a failed solve states are constants, not flags
-    for command, flag, value in (
-        ("solve", "--trace", "x.csv"),
-        ("solve", "--record-every", "5"),
-        ("trace", "--record-every", "5"),
-        ("solve", "--assume-q", "0.5"),
-        ("solve", "--chebyshev-k", "3"),
+    # neither a trace file nor its stride; the stride, the stopping rule a
+    # failed solve states, the start half-width and the stop tolerance are
+    # constants, not flags
+    sweep = ["sweep", "-n", "12", "--r-from", "0.3", "--r-to", "0.3"]
+    for argv, flag, value in (
+        (["solve", REF15], "--trace", "x.csv"),
+        (["solve", REF15], "--record-every", "5"),
+        (["trace", REF15], "--record-every", "5"),
+        (["solve", REF15], "--assume-q", "0.5"),
+        (["solve", REF15], "--chebyshev-k", "3"),
+        (["solve", REF15], "--radius", "0.1"),
+        (["trace", REF15], "--tol", "1e-9"),
+        (sweep, "--radius", "0.1"),
     ):
-        assert main([command, REF15, flag, value]) == 2
+        assert main([*argv, flag, value]) == 2
         assert flag in capsys.readouterr().err
 
 
@@ -213,14 +218,26 @@ def test_solve_echoes_non_default_descent_settings(tmp_path, capsys):
     # the JSON config names each setting by its SolverConfig field, the
     # config line by its flag
     out = tmp_path / "x.json"
-    settings = ["--eta", "0.01", "--radius", "0.1", "--max-iters", "7", "--tol", "1e-9"]
+    settings = ["--eta", "0.01", "--max-iters", "7"]
     assert main(["solve", REF15, *settings, "-o", str(out)]) == 1
     echoed = capsys.readouterr().out
-    assert "c config: eta=0.01 radius=0.1 max-iters=7 tol=1e-09 seed=0 restarts=10\n" in echoed
+    assert "c config: eta=0.01 max-iters=7 seed=0 restarts=10\n" in echoed
     config = json.loads(out.read_text())["config"]
-    assert config == {
-        "eta": 0.01, "start_radius": 0.1, "max_iters": 7, "stop_tol": 1e-9, "seed": 0, "restarts": 10
-    }
+    assert config == {"eta": 0.01, "max_iters": 7, "seed": 0, "restarts": 10}
+
+
+def test_overflowing_step_keeps_stderr_empty(tmp_path, capsys):
+    # past eta ≈ 1e307, eta·∇F overflows to ±inf and the clamp puts the
+    # point on a face: a well-defined run, so no warning reaches stderr
+    # (under the suite's filterwarnings = error it would raise instead)
+    huge = ["--eta", "1e308"]
+    for argv, code in (
+        (["solve", REF15, *huge, "-o", str(tmp_path / "x.json")], 1),
+        (["trace", REF15, *huge, "--format", "json"], 1),
+        (["sweep", "-n", "12", "--r-from", "0.3", "--r-to", "0.3", "--per-r", "2", *huge], 0),
+    ):
+        assert main(argv) == code, argv
+        assert capsys.readouterr().err == "", argv
 
 
 def test_solve_missing_file_is_usage_error(capsys):
@@ -309,7 +326,7 @@ def test_solve_flags_are_checked_before_the_solve(capsys, monkeypatch):
     cases = (
         ["--eta", "nan"],
         ["--eta", "inf"],
-        ["--tol", "nan"],
+        ["--max-iters", "0"],
     )
     for flags in cases:
         assert main(["solve", REF15, *flags]) == 2, flags

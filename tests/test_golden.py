@@ -6,7 +6,8 @@ command line, its exit code, the golden file of its stdout and, for each file
 the command writes, the golden file of that. stderr must stay empty.
 
 Run as a script, `PYTHONPATH=src python tests/test_golden.py`, it rewrites
-every golden file from its case, with the same runner. It writes nothing
+each golden file whose bytes its case changes, with the same runner, names
+each file it wrote and counts the rest as unchanged. It writes nothing
 when a case exits with another code or prints to stderr, or when two cases
 give one golden file different bytes.
 """
@@ -106,7 +107,8 @@ def test_cli_output_matches_golden(name, tmp_path):
 
 
 def regenerate() -> int:
-    """Rewrite every golden file from CASES, or none if a case is refused."""
+    """Rewrite the golden files whose bytes CASES change, or none if a case
+    is refused."""
     files, refused = {}, []
     for name, case in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
@@ -119,9 +121,15 @@ def regenerate() -> int:
     if refused:
         print("refused, nothing written:\n" + "\n".join(refused), file=sys.stderr)
         return 1
+    unchanged = 0
     for golden, data in files.items():
-        (GOLDEN / golden).write_bytes(data)
+        path = GOLDEN / golden
+        if path.exists() and path.read_bytes() == data:
+            unchanged += 1
+            continue
+        path.write_bytes(data)
         print(f"wrote {GOLDEN.name}/{golden}")
+    print(f"{unchanged} unchanged")
     return 0
 
 

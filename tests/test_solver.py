@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 from ec3 import (
     CONVERGED_UNSOLVED,
@@ -46,7 +46,8 @@ def reference_run(f, config, start, record=False) -> RunResult:
     """One projected-descent run, one point at a time, on the two-pass
     reference kernel: the loop the batched engine replaced, kept as the
     reference it must match bit for bit. It records on the engine's
-    schedule, read from `ec3.solver._RECORD_EVERY` when it runs."""
+    schedule and stop test, read from `ec3.solver._RECORD_EVERY` and
+    `ec3.solver._STOP_TOL` when it runs."""
     inst = f.instance
     x = np.asarray(start, dtype=np.float64).copy()
     eta = config.eta
@@ -74,7 +75,7 @@ def reference_run(f, config, start, record=False) -> RunResult:
             iters_log.append(k + 1)
             costs_log.append(cost_now)
             snaps_log.append(x.copy())
-        if delta <= config.stop_tol:
+        if delta <= ec3.solver._STOP_TOL:
             converged = True
             break
 
@@ -83,7 +84,7 @@ def reference_run(f, config, start, record=False) -> RunResult:
         costs_log.append(cost_now)
         snaps_log.append(x.copy())
 
-    rounded = round_point(x, config.stop_tol)
+    rounded = round_point(x)
     vcost = reference_cost(inst, vertex_point(rounded))
     verdict = check_assignment(inst, rounded)
     if verdict.satisfied and vcost == 0.0:
@@ -114,7 +115,7 @@ def reference_solve(f, config, max_runs):
     results = []
     for i in range(max_runs):
         seed = derive_run_seed(config.seed, i)
-        start = restart_start(f.n_vars, config.start_radius, np.random.default_rng(seed))
+        start = restart_start(f.n_vars, ec3.solver._START_RADIUS, np.random.default_rng(seed))
         results.append(reference_run(f, config, start))
         if results[-1].status == SOLVED:
             return i, results
@@ -194,20 +195,16 @@ def test_derive_run_seed_is_base_xor_mix():
 @pytest.mark.parametrize(
     "bad",
     [
-        dict(eta=0.0),
-        dict(eta=-1.0),
-        dict(start_radius=0.0),
-        dict(start_radius=0.5),
-        dict(stop_tol=-1e-9),
-        dict(max_iters=0),
-        dict(max_iters=1e6),  # a float literal, even an integral one, is no count
+        pytest.param(dict(eta=0.0), id="eta-zero"),
+        pytest.param(dict(eta=-1.0), id="eta-negative"),
+        pytest.param(dict(max_iters=0), id="max-iters-zero"),
+        # a float literal, even an integral one, is no count
+        pytest.param(dict(max_iters=1e6), id="max-iters-float"),
         # non-finite values would spin every run to max_iters
-        dict(eta=float("nan")),
-        dict(eta=float("inf")),
-        dict(stop_tol=float("nan")),
-        dict(stop_tol=float("inf")),
+        pytest.param(dict(eta=float("nan")), id="eta-nan"),
+        pytest.param(dict(eta=float("inf")), id="eta-inf"),
         # a fractional count would run one step past its value
-        dict(max_iters=2.5),
+        pytest.param(dict(max_iters=2.5), id="max-iters-fractional"),
     ],
 )
 def test_solver_config_validation(bad):
@@ -215,12 +212,20 @@ def test_solver_config_validation(bad):
         SolverConfig(**bad)
 
 
+def test_solver_config_has_no_start_or_stop_setting():
+    # the start half-width and the stop tolerance are solver constants
+    assert [f.name for f in fields(SolverConfig)] == ["eta", "max_iters", "seed"]
+    for removed in (dict(start_radius=0.1), dict(stop_tol=1e-9)):
+        with pytest.raises(TypeError):
+            SolverConfig(**removed)
+
+
 def test_replace_revalidates_config():
     cfg = SolverConfig()
     assert replace(cfg, eta=0.01).eta == 0.01
     assert cfg.eta == 0.005  # original untouched
     with pytest.raises(ValueError):
-        replace(cfg, start_radius=0.7)
+        replace(cfg, max_iters=0)
     # a field set after construction would skip the checks
     with pytest.raises(FrozenInstanceError):
         cfg.eta = -1.0
@@ -320,8 +325,10 @@ def test_restart_start_radius_range():
         restart_start(3, 0.5, rng)
 
 
-def test_restarts_start_from_restart_start(ref15_cost):
-    cfg = SolverConfig(seed=5, start_radius=0.2)
+def test_restarts_start_from_restart_start(ref15_cost, monkeypatch):
+    # a radius other than the default tells the constant from a literal
+    monkeypatch.setattr(ec3.solver, "_START_RADIUS", 0.2)
+    cfg = SolverConfig(seed=5)
     res = rerun_with_trajectory(ref15_cost, cfg, 3)
     seed = derive_run_seed(5, 3)
     expected = restart_start(15, 0.2, np.random.default_rng(seed))
@@ -333,7 +340,7 @@ def test_restarts_start_from_restart_start(ref15_cost):
 
 def test_round_point():
     x = np.array([0.9, 0.1, 0.5, 0.5 - 1e-13, 0.5 - 1e-11])
-    z = round_point(x, 1e-12)
+    z = round_point(x)
     # above the band → 0, below → 1, inside the tie band → 0
     assert z.tolist() == [0, 1, 0, 0, 1]
     assert z.dtype == np.uint8
@@ -361,7 +368,7 @@ def test_run_empty_instance_converges_immediately():
 def test_run_solves_reference_instance(ref15, ref15_cost):
     cfg = SolverConfig(seed=0)
     rng = np.random.default_rng(derive_run_seed(0, 0))
-    res = bsgd_run(ref15_cost, cfg, sample_start(15, cfg.start_radius, rng))
+    res = bsgd_run(ref15_cost, cfg, sample_start(15, 0.05, rng))
     assert res.status == SOLVED
     assert res.vertex_cost == 0.0
     assert ref15_cost.cost(res.final_point) < 1e-6
