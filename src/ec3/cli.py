@@ -124,32 +124,30 @@ def _read_instance(path: str):
         return parse_instance(fh.read())
 
 
-# The descent settings every solver command shares, in the order the parser,
-# the config echo (by flag) and the JSON config (by field) list them; each
-# flag takes its field's default and type.
-_DESCENT_SETTINGS = (  # (SolverConfig field, flag, help)
-    ("eta", "--eta", "gradient step size"),
-    ("max_iters", "--max-iters", None),
-)
+# The descent settings every solver command shares, each SolverConfig field
+# with its help text, in the order the parser and the config list them. A
+# field's flag is -- plus the field with - for _, with the field's default.
+_DESCENT_SETTINGS = {
+    "eta": "gradient step size",
+    "max_iters": "largest number of descent steps in one run",
+}
 
 
 def _solver_config(args) -> SolverConfig:
-    descent = {field: vars(args)[flag[2:].replace("-", "_")] for field, flag, _ in _DESCENT_SETTINGS}
-    return SolverConfig(**descent, seed=args.seed)
+    return SolverConfig(**{field: vars(args)[field] for field in _DESCENT_SETTINGS}, seed=args.seed)
 
 
-# The descent settings every solver command shares, then the fields each
-# command adds as keywords, in its own order: solve and trace add seed and
-# restarts; a sweep adds none (its run budget is --budget, and each of its
-# cells derives its own solver seed).
-def _echo_solver_config(cfg: SolverConfig, **run) -> None:
-    pairs = [(flag[2:], getattr(cfg, field)) for field, flag, _ in _DESCENT_SETTINGS]
-    pairs += [(k.replace("_", "-"), v) for k, v in run.items()]
-    _echo("config: " + " ".join(f"{k}={_g9(v) if isinstance(v, float) else v}" for k, v in pairs))
-
-
+# A solver command's config, rendered as its `c config:` line and its JSON
+# config: the descent settings, then the fields the command adds as keywords,
+# in its own order. solve and trace add seed and restarts; a sweep adds none
+# (its run budget is --budget, and each cell derives its own solver seed).
 def _config_dict(cfg: SolverConfig, **run) -> dict:
-    return {**{field: getattr(cfg, field) for field, _, _ in _DESCENT_SETTINGS}, **run}
+    return {**{field: getattr(cfg, field) for field in _DESCENT_SETTINGS}, **run}
+
+
+def _echo_config(config: dict) -> None:
+    pairs = (f"{k.replace('_', '-')}={_g9(v) if isinstance(v, float) else v}" for k, v in config.items())
+    _echo("config: " + " ".join(pairs))
 
 
 def _echo_instance(instance, path: str) -> None:
@@ -216,20 +214,25 @@ def cmd_generate(args) -> int:
 _ASSUMED_Q, _CHEBYSHEV_K = 0.25, 11.0
 
 
-def cmd_solve(args) -> int:
+def _solve(args, record=False):
+    """solve and trace: read the instance and solve it under the flags, and
+    return the instance, the config dict and the outcome."""
     inst = _read_instance(args.instance)
     cfg = _solver_config(args)
-    f = CostFunction.from_instance(inst)
-    outcome = solve_with_restarts(f, cfg, args.restarts)
+    outcome = solve_with_restarts(CostFunction.from_instance(inst), cfg, args.restarts, record=record)
+    return inst, _config_dict(cfg, seed=cfg.seed, restarts=args.restarts), outcome
+
+
+def cmd_solve(args) -> int:
+    inst, config, outcome = _solve(args)
     stats = outcome.stats
     any_certificate = any(r.certificate for r in outcome.results)
     w = outcome.winner
-    fields = dict(seed=cfg.seed, restarts=args.restarts)
 
     # without -o stdout carries the JSON document; with it, human text
     if args.output:
         _echo_instance(inst, args.instance)
-        _echo_solver_config(cfg, **fields)
+        _echo_config(config)
         if outcome.solved:
             print("Solved")
             print("z: " + emit_assignment(w.rounded), end="")
@@ -258,7 +261,7 @@ def cmd_solve(args) -> int:
         "schema": 1,
         "command": "solve",
         "instance": _instance_dict(inst, args.instance),
-        "config": _config_dict(cfg, **fields),
+        "config": config,
         "result": {
             "solved": outcome.solved,
             "status": w.status if w else None,
@@ -375,7 +378,7 @@ def cmd_sweep(args) -> int:
             f"sweep: n={args.n_vars} r={_g9(args.r_from)}..{_g9(args.r_to)} step={_g9(args.step)} "
             f"per-r={args.per_r} budget={args.budget} oracle={str(args.oracle).lower()}"
         )
-        _echo_solver_config(cfg)
+        _echo_config(_config_dict(cfg))
     rstar = r_star_estimate(report)
     if args.format == "json":
         doc = {
@@ -412,20 +415,16 @@ def cmd_trace(args) -> int:
         if not args.output:
             raise ValueError("trace in csv format needs --output (two files are written)")
         _check_writable(_labels_path(args.output))
-    inst = _read_instance(args.instance)
-    cfg = _solver_config(args)
-    fields = dict(seed=cfg.seed, restarts=args.restarts)
-    f = CostFunction.from_instance(inst)
-    outcome = solve_with_restarts(f, cfg, args.restarts, record=True)
+    inst, config, outcome = _solve(args, record=True)
     index = outcome.traced_index
     run = outcome.results[index]
     labels = classify_flows(run.trajectory)
-    slope_law_ok = int(initial_slope_check(run.trajectory, cfg.eta, inst.clause_degree).ok.sum())
+    slope_law_ok = int(initial_slope_check(run.trajectory, config["eta"], inst.clause_degree).ok.sum())
 
     machine = args.format == "json" and not args.output
     if not machine:
         _echo_instance(inst, args.instance)
-        _echo_solver_config(cfg, **fields)
+        _echo_config(config)
         _echo(f"traced run: {index} status: {run.status} iterations: {run.iterations}")
         _echo(
             f"starting-slope law: {slope_law_ok}/{inst.n_vars} variables "
@@ -439,7 +438,7 @@ def cmd_trace(args) -> int:
             "schema": 1,
             "command": "trace",
             "instance": _instance_dict(inst, args.instance),
-            "config": _config_dict(cfg, **fields),
+            "config": config,
             "run": {
                 "index": index,
                 "status": run.status,
@@ -485,9 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solver_p = argparse.ArgumentParser(add_help=False)
-    for field, flag, help in _DESCENT_SETTINGS:
+    for field, help in _DESCENT_SETTINGS.items():
         default = getattr(SolverConfig, field)
-        solver_p.add_argument(flag, type=type(default), default=default, help=help)
+        solver_p.add_argument("--" + field.replace("_", "-"), type=type(default), default=default, help=help)
     solver_p.add_argument("--seed", type=int, default=SolverConfig.seed, help="base RNG seed")
     solver_p.add_argument(
         "--workers",
@@ -530,14 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     w = sub.add_parser("sweep", parents=[solver_p, out_p, format_p], help="ratio sweep")
-    w.add_argument("-n", "--n-vars", type=int, required=True)
-    w.add_argument("--r-from", type=float, required=True)
-    w.add_argument("--r-to", type=float, required=True)
-    w.add_argument("--step", type=float, default=0.05)
+    w.add_argument("-n", "--n-vars", type=int, required=True, help="variables per instance")
+    w.add_argument("--r-from", type=float, required=True, help="first grid ratio r = M/N")
+    w.add_argument("--r-to", type=float, required=True, help="upper end of the ratio grid")
+    w.add_argument("--step", type=float, default=0.05, help="grid spacing; points rounded to 10 decimals")
     w.add_argument("--per-r", type=int, default=50, help="instances per grid point")
     w.add_argument("--budget", type=int, default=5, help="runs per instance")
     w.add_argument("--oracle", action="store_true", help="record exact satisfiability (N <= cap)")
-    w.add_argument("--cap", type=int, default=ORACLE_CAP)
+    w.add_argument("--cap", type=int, default=ORACLE_CAP, help="largest admissible N")
     w.set_defaults(func=cmd_sweep)
 
     t = sub.add_parser("trace", parents=[solver_p, out_p, format_p], help="solve, recording the winning run; classify its flows and check the starting-slope law")

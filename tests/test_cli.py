@@ -214,16 +214,30 @@ def test_solve_failure_reports_a_certificate(tmp_path, capsys):
     assert doc["result"]["solved"] is False and doc["result"]["certificate"] is True
 
 
-def test_solve_echoes_non_default_descent_settings(tmp_path, capsys):
-    # the JSON config names each setting by its SolverConfig field, the
-    # config line by its flag
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve", REF15], 1),
+        (["trace", REF15, "--format", "json"], 1),
+        (["sweep", "-n", "12", "--r-from", "0.3", "--r-to", "0.3", "--per-r", "2", "--format", "json"], 0),
+    ],
+    ids=["solve", "trace", "sweep"],
+)
+def test_solve_echoes_non_default_descent_settings(argv, code, tmp_path, capsys):
+    # the config line renders the JSON config: its descent settings, then
+    # solve's and trace's seed and restarts, each field with - for _
     out = tmp_path / "x.json"
-    settings = ["--eta", "0.01", "--max-iters", "7"]
-    assert main(["solve", REF15, *settings, "-o", str(out)]) == 1
+    assert main([*argv, "--eta", "0.01", "--max-iters", "7", "-o", str(out)]) == code
     echoed = capsys.readouterr().out
-    assert "c config: eta=0.01 max-iters=7 seed=0 restarts=10\n" in echoed
+    want = {"eta": 0.01, "max_iters": 7}
+    if argv[0] != "sweep":
+        want.update(seed=0, restarts=10)
     config = json.loads(out.read_text())["config"]
-    assert config == {"eta": 0.01, "max_iters": 7, "seed": 0, "restarts": 10}
+    # a sweep's config leads with its grid fields, which its sweep line echoes
+    items = list(config.items())
+    assert (items[-len(want):] if argv[0] == "sweep" else items) == list(want.items())
+    line = " ".join(f"{k.replace('_', '-')}={v}" for k, v in want.items())
+    assert f"c config: {line}\n" in echoed
 
 
 def test_overflowing_step_keeps_stderr_empty(tmp_path, capsys):

@@ -346,7 +346,7 @@ def reference_winner_iterations(n_vars, r_grid, instances_per_r, config, run_bud
 
 
 @pytest.mark.parametrize("n_vars, grid", [(24, [0.3, 0.5, 0.7, 0.9]), (100, [0.2, 0.4])])
-def test_phase_sweep_flow_counts_match_rerun(n_vars, grid):
+def test_phase_sweep_winner_iterations_match_cells_solved_alone(n_vars, grid):
     # a sweep classifies no flows (`ec3 trace` does, test_cli.py); its mean
     # winner iterations are those of each cell solved alone
     cfg = SolverConfig()

@@ -133,5 +133,61 @@ def regenerate() -> int:
     return 0
 
 
+# regenerate() against a copy of data/golden, with a few fast cases
+QUICK = ("verify-ref15", "oracle-ref15", "oracle-ref15-o")
+
+
+@pytest.fixture
+def golden_copy(tmp_path, monkeypatch):
+    copy = tmp_path / "golden"
+    shutil.copytree(GOLDEN, copy)
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "GOLDEN", copy)
+    monkeypatch.setattr(module, "CASES", {name: CASES[name] for name in QUICK})
+    return copy
+
+
+def snapshot(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_regenerate_leaves_an_up_to_date_copy_alone(golden_copy, capsys):
+    before = snapshot(golden_copy)
+    assert regenerate() == 0
+    assert capsys.readouterr() == ("3 unchanged\n", "")
+    assert snapshot(golden_copy) == before
+
+
+def test_regenerate_rewrites_only_the_altered_file(golden_copy, capsys):
+    before = snapshot(golden_copy)
+    (golden_copy / "verify_ref15.txt").write_bytes(b"stale\n")
+    assert regenerate() == 0
+    assert capsys.readouterr() == ("wrote golden/verify_ref15.txt\n2 unchanged\n", "")
+    assert snapshot(golden_copy) == before
+
+
+@pytest.mark.parametrize(
+    "name, case, reason",
+    [
+        ("verify-ref15", ("verify ref15.ec3 ref15.z".split(), 1, "verify_ref15.txt", {}), "exit 0 (expected 1)"),
+        ("solve-missing", ("solve missing.ec3".split(), 2, "missing.txt", {}), "error: [Errno 2]"),
+        ("oracle-as-verify", ("oracle ref15.ec3".split(), 0, "verify_ref15.txt", {}), "verify_ref15.txt differs"),
+    ],
+    ids=["exit-code", "stderr", "two-byte-strings"],
+)
+def test_regenerate_refuses_and_writes_nothing(golden_copy, monkeypatch, capsys, name, case, reason):
+    # the altered file would be rewritten, were the run not refused
+    (golden_copy / "oracle_ref15.txt").write_bytes(b"stale\n")
+    before = snapshot(golden_copy)
+    monkeypatch.setitem(CASES, name, case)
+    assert regenerate() == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    head, refusal = err.splitlines()
+    assert head == "refused, nothing written:"
+    assert refusal.startswith(f"{name}: ") and reason in refusal
+    assert snapshot(golden_copy) == before
+
+
 if __name__ == "__main__":
     sys.exit(regenerate())
