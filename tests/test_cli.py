@@ -138,7 +138,8 @@ def test_generate_has_no_format_option(capsys):
 
 
 def test_solve_machine_json(capsys):
-    rc = main(["solve", REF15, "--workers", "1"])
+    # eta 0.005 is a double that needs 17 digits to print
+    rc = main(["solve", REF15, "--workers", "1", "--eta", "0.005"])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.lstrip().startswith("{")  # pure JSON, no comment lines
@@ -174,7 +175,7 @@ def test_solve_human_text_and_file(tmp_path, capsys):
     assert "Solved" in echoed
     assert "z: " in echoed
     assert "q_hat" in echoed
-    assert "c config: eta=0.005" in echoed
+    assert f"c config: eta={SolverConfig.eta:.9g}" in echoed
     doc = json.loads(out.read_text())
     assert doc["result"]["solved"] is True
 
@@ -605,7 +606,8 @@ def test_sweep_records_no_trajectories(tmp_path, monkeypatch, capsys):
 
 
 # The flow-family counts that each row of the golden sweep's JSON document
-# (tests/test_golden.py's SWEEP) carried while sweeps classified their winners.
+# (tests/test_golden.py's SWEEP) carried while sweeps classified their winners,
+# at eta 0.005, the default step then and the classifier's calibration step.
 GOLDEN_SWEEP_FLOW_COUNTS = [
     {"V": 19, "II-up": 7, "Irregular": 3, "I": 3, "IV": 2, "III-down": 2},
     {"V": 9, "Irregular": 8, "II-up": 7, "III-down": 5, "I": 6, "IV": 1},
@@ -629,7 +631,7 @@ def test_trace_of_each_sweep_cell_gives_its_flow_counts(tmp_path, capsys):
             m = clause_count_for_ratio(r, 12)
             assert main(["generate", "-n", "12", "-m", str(m), "--seed", str(seed), "-o", path]) == 0
             capsys.readouterr()
-            argv = ["trace", path, "--restarts", "3", "--seed", str(mix64(seed)), "--format", "json"]
+            argv = ["trace", path, "--restarts", "3", "--seed", str(mix64(seed)), "--eta", "0.005", "--format", "json"]
             solved = main(argv) == 0
             doc = json.loads(capsys.readouterr().out)
             if solved:
@@ -692,7 +694,8 @@ def test_trace_of_the_flow_gallery_instance(tmp_path, capsys):
     inst = tmp_path / "g.ec3"
     assert main(["generate", "-n", "1000", "-m", "25", "--seed", "7", "-o", str(inst)]) == 0
     out = tmp_path / "flows.csv"
-    assert main(["trace", str(inst), "--seed", "11", "--workers", "1", "-o", str(out)]) == 0
+    # at eta 0.005, the step the classifier's thresholds were calibrated at
+    assert main(["trace", str(inst), "--seed", "11", "--eta", "0.005", "--workers", "1", "-o", str(out)]) == 0
     echoed = capsys.readouterr().out
     assert "c starting-slope law: 1000/1000 variables within 0.1*eta of eta*C_k/4" in echoed
     # README's line: the flow labels at the recording stride and thresholds
@@ -700,7 +703,8 @@ def test_trace_of_the_flow_gallery_instance(tmp_path, capsys):
     assert flows in echoed.splitlines()
 
     instance = parse_instance(inst.read_text())
-    outcome = solve_with_restarts(CostFunction.from_instance(instance), SolverConfig(seed=11), 10, record=True)
+    config = SolverConfig(eta=0.005, seed=11)
+    outcome = solve_with_restarts(CostFunction.from_instance(instance), config, 10, record=True)
     trajectory = outcome.results[outcome.traced_index].trajectory
     want_csv, want_labels = tmp_path / "want.csv", tmp_path / "want.labels.csv"
     with open(want_csv, "w") as fh:
@@ -710,7 +714,7 @@ def test_trace_of_the_flow_gallery_instance(tmp_path, capsys):
     assert out.read_bytes() == want_csv.read_bytes()
     assert (tmp_path / "flows.labels.csv").read_bytes() == want_labels.read_bytes()
 
-    assert main(["trace", str(inst), "--seed", "11", "--workers", "1", "--format", "json"]) == 0
+    assert main(["trace", str(inst), "--seed", "11", "--eta", "0.005", "--workers", "1", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["run"]["slope_law_ok"] == 1000
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ec3 import (
     CostFunction,
+    SolverConfig,
     check_assignment,
     clause_probability,
     generate_instance,
@@ -235,3 +236,23 @@ def test_hessian_diagonal_zero_offdiagonal_matches_fd(ref15_cost):
         xmm[j] -= eps; xmm[k] -= eps
         fd = (ref15_cost.cost(xpp) - ref15_cost.cost(xpm) - ref15_cost.cost(xmp) + ref15_cost.cost(xmm)) / (4 * eps * eps)
         assert h[j, k] == pytest.approx(fd, abs=1e-4)
+
+
+@pytest.mark.parametrize("n, m", [(24, 16), (24, 22), (100, 40)])
+def test_hessian_rows_are_bounded_by_four_times_the_degree(n, m):
+    # each clause of x_k adds 3·x_b − 1 ∈ [−1, 2] to two entries of row k, so
+    # by Gershgorin ∇F is Lipschitz with L ≤ 4·C_max, at any point of the cube
+    rng = np.random.default_rng(1000 + m)
+    for seed in range(10, 20):
+        inst = generate_instance(n, m, seed)
+        f = CostFunction.from_instance(inst)
+        bound = 4 * int(inst.clause_degree.max())
+        points = np.vstack([rng.uniform(0, 1, (5, n)), rng.integers(0, 2, (5, n))])
+        for x in points:
+            assert np.abs(f.hessian(x)).sum(axis=1).max() <= bound
+
+
+def test_default_step_is_within_the_descent_lemma():
+    # projected descent keeps F non-increasing for eta ≤ 1/L ≤ 1/(4·C_max);
+    # the default step claims that guarantee for every C_max ≤ 12
+    assert 4 * 12 * SolverConfig.eta <= 1

@@ -223,7 +223,7 @@ def test_solver_config_has_no_start_or_stop_setting():
 def test_replace_revalidates_config():
     cfg = SolverConfig()
     assert replace(cfg, eta=0.01).eta == 0.01
-    assert cfg.eta == 0.005  # original untouched
+    assert cfg.eta == SolverConfig.eta  # original untouched
     with pytest.raises(ValueError):
         replace(cfg, max_iters=0)
     # a field set after construction would skip the checks
@@ -674,6 +674,25 @@ def test_restarts_budget_validation(ref15_cost):
 def test_rerun_rejects_negative_run_index(ref15_cost):
     with pytest.raises(ValueError, match="run_index"):
         rerun_with_trajectory(ref15_cost, SolverConfig(), -1)
+
+
+@pytest.mark.parametrize(
+    "n, m, seeds",
+    [(24, 16, range(10, 30)), (24, 22, range(10, 30)), (100, 40, range(10, 20))],
+    ids=["24-16", "24-22", "100-40"],
+)
+def test_cost_never_rises_at_the_default_step(n, m, seeds, monkeypatch):
+    # the descent lemma at the default step (tests/test_cost.py bounds L by
+    # 4·C_max), checked at every step of each run a recording solve keeps
+    monkeypatch.setattr(ec3.solver, "_RECORD_EVERY", 1)
+    for s in seeds:
+        f = CostFunction.from_instance(generate_instance(n, m, s))
+        assert 4 * f.instance.clause_degree.max() * SolverConfig.eta <= 1
+        outcome = solve_with_restarts(f, SolverConfig(seed=1000 + s), 10, record=True)
+        traced = [res.trajectory for res in outcome.results if res.trajectory is not None]
+        assert traced
+        for traj in traced:
+            assert np.all(np.diff(traj.costs) <= 0)
 
 
 # --- the batched engine against the reference, bit for bit --------------------
