@@ -93,31 +93,47 @@ class CostFunction:
         """F at each row of an (R, N) batch of points, and ∇F there;
         `index` is `batch_index(R)`, built here when not given.
 
-        One C-contiguous gather of the clause columns serves both: with
-        (u, v) = (x_b, x_c), (x_a, x_c), (x_a, x_b), the terms of ∂F/∂x_a,
-        ∂F/∂x_b, ∂F/∂x_c are 3·u·v − u − v, and P reuses (3·x_a)·x_b and the
-        products u·v. Every row is summed and scattered in the order a lone
+        `_kernel`'s clause probabilities P and gradient, with F the pairwise
+        row sum of P. Every row is summed and scattered in the order a lone
         point is, so its results are bitwise those of `cost` and `gradient`
         on that row.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_vars:
             raise ValueError(f"batch has shape {X.shape}, expected (R, {self.n_vars})")
+        p = np.empty((len(X), self.instance.n_clauses))
+        grad = self._kernel(X, index, p)
+        return p.sum(axis=1), grad
+
+    def _kernel(self, X, index, p) -> np.ndarray:
+        """∇F at each row of the (R, N) float64 batch X, with each clause's P
+        written into the (R, M) buffer p; `index` is `batch_index(R)` or None.
+
+        One C-contiguous gather of the clause columns serves both: with
+        (u, v) = (x_b, x_c), (x_a, x_c), (x_a, x_b), the terms of ∂F/∂x_a,
+        ∂F/∂x_b, ∂F/∂x_c are 3·u·v − u − v, and P reuses (3·x_a)·x_b and the
+        products u·v. The descent engine calls this once a step and sums a
+        window's P in one reduction (`ec3.solver._descend`).
+        """
         r, n = X.shape
-        if self.instance.n_clauses == 0:  # bincount of no weights is integer
-            return np.zeros(r), np.zeros((r, n))
+        if not p.size:  # no clauses (or no rows): bincount of no weights is integer
+            return np.zeros((r, n))
         gather, scatter = self.batch_index(r) if index is None else index
         # take gives C order; X[:, cols] would give F order, whose row sums
         # add sequentially instead of pairwise
-        pairs = X.take(gather)
-        u, v = pairs[0], pairs[1]
+        u, v = X.take(gather)
         uv3 = 3.0 * u * v
         uv = u * v
-        # P = 1 + 3·x_a·x_b·x_c − x_a·x_b − x_b·x_c − x_a·x_c, in that order
-        p = 1.0 + uv3[2] * v[0] - uv[2] - uv[0] - uv[1]
-        terms = uv3 - u - v
-        grad = np.bincount(scatter, weights=terms.ravel(), minlength=r * n)
-        return p.sum(axis=1), grad.reshape(r, n)
+        # P = 1 + 3·x_a·x_b·x_c − x_a·x_b − x_b·x_c − x_a·x_c, in that order,
+        # in place: 1 + a is a + 1, bit for bit
+        np.multiply(uv3[2], v[0], out=p)
+        p += 1.0
+        p -= uv[2]
+        p -= uv[0]
+        p -= uv[1]
+        uv3 -= u
+        uv3 -= v  # the terms 3·u·v − u − v
+        return np.bincount(scatter, weights=uv3.ravel(), minlength=r * n).reshape(r, n)
 
     def _one_row(self, x) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=np.float64)

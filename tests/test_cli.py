@@ -349,6 +349,27 @@ def test_solve_flags_are_checked_before_the_solve(capsys, monkeypatch):
         assert err.startswith("error: ") and "Traceback" not in err, (flags, err)
 
 
+_GRID = ["sweep", "-n", "12", "--r-from", "0.3", "--r-to", "0.4", "--workers", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", REF15, "--restarts", "0"], "max_runs must be at least 1"),
+        (["trace", REF15, "--restarts", "0"], "max_runs must be at least 1"),
+        (_GRID + ["--budget", "0"], "run_budget must be at least 1"),
+        (_GRID + ["--per-r", "0"], "instances_per_r must be at least 1"),
+    ],
+    ids=["solve-restarts", "trace-restarts", "sweep-budget", "sweep-per-r"],
+)
+def test_zero_run_counts_are_usage_errors(argv, message, tmp_path, capsys):
+    # one error line, no traceback, and no -o file (nor a trace's labels)
+    assert main(argv + ["-o", str(tmp_path / "out.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- oracle -------------------------------------------------------------------
 
 

@@ -128,7 +128,7 @@ def _bits(v) -> bytes:
 
 def assert_same_run(got, want):
     assert got.status == want.status
-    assert got.iterations == want.iterations
+    assert got.iterations == want.iterations and type(got.iterations) is int
     assert got.final_point.tobytes() == want.final_point.tobytes()
     assert _bits(got.final_cost) == _bits(want.final_cost)
     assert _bits(got.vertex_cost) == _bits(want.vertex_cost)
@@ -698,22 +698,33 @@ def test_cost_never_rises_at_the_default_step(n, m, seeds, monkeypatch):
 # --- the batched engine against the reference, bit for bit --------------------
 
 
-def test_engine_matches_reference_on_criterion_08_grid():
-    # criterion 08's cells: N = 24, r = 0.30 … 0.90, budget 5, seeds as
-    # phase_sweep derives them (batches of 5 rows)
+def criterion_08_cells():
+    """(F, config) of criterion 08's cells: N = 24, r = 0.30 … 0.90, three
+    instances a point, seeds as phase_sweep derives them."""
     for i in range(13):
         m = clause_count_for_ratio(round(0.3 + 0.05 * i, 10), 24)
         for j in range(3):
             inst_seed = derive_run_seed(2024, (i << 32) | j)
             f = CostFunction.from_instance(generate_instance(24, m, inst_seed))
-            assert_solve_matches_reference(f, SolverConfig(seed=mix64(inst_seed)), 5)
+            yield f, SolverConfig(seed=mix64(inst_seed))
+
+
+def desk_cells():
+    """(F, config) of criterion 06's (100, 40) panel."""
+    for s in range(10):
+        yield CostFunction.from_instance(generate_instance(100, 40, s)), SolverConfig(seed=1000 + s)
+
+
+def test_engine_matches_reference_on_criterion_08_grid():
+    # budget 5: batches of 5 rows
+    for f, cfg in criterion_08_cells():
+        assert_solve_matches_reference(f, cfg, 5)
 
 
 def test_engine_matches_reference_at_desk_scale():
-    # criterion 06's (100, 40) panel, 10 runs in batches of 4
-    for s in range(10):
-        f = CostFunction.from_instance(generate_instance(100, 40, s))
-        assert_solve_matches_reference(f, SolverConfig(seed=1000 + s), 10)
+    # 10 runs in batches of 4
+    for f, cfg in desk_cells():
+        assert_solve_matches_reference(f, cfg, 10)
 
 
 @pytest.mark.parametrize("m", [25, 250])
@@ -760,6 +771,10 @@ def test_engine_recorded_runs_match_reference(monkeypatch):
 
 
 def test_engine_batch_whose_winner_is_not_row_zero():
+    check_batch_whose_winner_is_not_row_zero()
+
+
+def check_batch_whose_winner_is_not_row_zero():
     # Scan (30, 13) solver seeds for a batch of 8 rows that wins after row
     # 0, where a later row ends Solved before the winner does and live rows
     # are dropped: the rows before a success run on, and the engine still
@@ -781,6 +796,67 @@ def test_engine_batch_whose_winner_is_not_row_zero():
     out = assert_solve_matches_reference(f, cfg, 8)
     assert out.winner_index == winner
     assert_recorded_solve_matches_rerun(f, cfg, 8)
+
+
+# --- the window: bitwise the same results at any length -----------------------
+
+
+@pytest.fixture(params=[1, 3, 8, 64])
+def window(request, monkeypatch):
+    """The engine's window length, set for one test."""
+    monkeypatch.setattr(ec3.solver, "_WINDOW", request.param)
+    return request.param
+
+
+def test_window_leaves_solves_unchanged(window):
+    for f, cfg in criterion_08_cells():
+        assert_solve_matches_reference(f, cfg, 5)
+    for f, cfg in desk_cells():
+        assert_solve_matches_reference(f, cfg, 10)
+
+
+def test_window_stops_at_the_iteration_cap(window):
+    # caps inside, at the end of and just past a window, and a run long
+    # enough to converge mid-window; recorded and not
+    f = CostFunction.from_instance(generate_instance(24, 18, 5))
+    for max_iters in (1, 7, 8, 9, 17, 1_000_000):
+        cfg = SolverConfig(seed=2, max_iters=max_iters)
+        for index in range(3):
+            start = _run_start(f, cfg, index)
+            for record in (False, True):
+                assert_same_run(
+                    bsgd_run(f, cfg, start, record=record),
+                    reference_run(f, cfg, start, record=record),
+                )
+
+
+def test_window_stops_rows_that_still_move(window, monkeypatch):
+    # with a coarse stop tolerance, rows stop mid-window while their points
+    # still move: each must take X, F, ∇F and the certificate at its own
+    # stop step, not at the window's end
+    monkeypatch.setattr(ec3.solver, "_STOP_TOL", 1e-2)
+    for f, cfg in list(criterion_08_cells())[::4]:
+        out = assert_solve_matches_reference(f, cfg, 5)
+        for index in {0, out.traced_index}:
+            start = _run_start(f, cfg, index)
+            assert_same_run(bsgd_run(f, cfg, start, record=True), reference_run(f, cfg, start, record=True))
+
+
+def test_window_certificate_ends_at_the_rows_stop(window, monkeypatch):
+    # every step stops a run, so this one stops after one update at F = 1.22;
+    # F falls below 1 at the eighth, inside the first window of 8 or 64
+    monkeypatch.setattr(ec3.solver, "_STOP_TOL", 0.5)
+    f = CostFunction.from_instance(make_instance(6, [(1, 2, 3), (4, 5, 6)]))
+    cfg = SolverConfig(eta=0.1)
+    start = np.array([0.3, 0.6, 0.45, 0.55, 0.4, 0.6])
+    res = bsgd_run(f, cfg, start)
+    assert res.iterations == 1 and not res.certificate
+    assert_same_run(res, reference_run(f, cfg, start))
+
+
+def test_window_keeps_the_batch_whose_winner_is_not_row_zero(window):
+    # a Solved row drops the live rows after it, mid-window or not
+    check_batch_whose_winner_is_not_row_zero()
 
 
 # --- restart statistics -------------------------------------------------------
