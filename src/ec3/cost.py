@@ -112,8 +112,7 @@ class CostFunction:
         One C-contiguous gather of the clause columns serves both: with
         (u, v) = (x_b, x_c), (x_a, x_c), (x_a, x_b), the terms of ∂F/∂x_a,
         ∂F/∂x_b, ∂F/∂x_c are 3·u·v − u − v, and P reuses (3·x_a)·x_b and the
-        products u·v. The descent engine calls this once a step and sums a
-        window's P in one reduction (`ec3.solver._descend`).
+        products u·v.
         """
         r, n = X.shape
         if not p.size:  # no clauses (or no rows): bincount of no weights is integer

@@ -12,20 +12,13 @@ N = 1000 the restarts of one instance then mostly share a single outcome, so
 they are not the independent trials the stopping rule assumes.
 
 One descent engine runs every descent: it steps R runs of one instance as
-the rows of an (R × N) array, and a row leaves the array when its run stops.
-It steps in windows of 8 updates (`_WINDOW`). A step does only the clamped
-update and one call of the fused kernel, which writes each clause's
-probability P and returns ∇F (`CostFunction._kernel`). At the window's end
-one call each computes F (each row's pairwise sum of P), the stop test on
-the rows' displacements and the F < 1 test, and the window's stops and
-samples are replayed in step order. A row that stops mid-window takes its
-point, F and ∇F from the window's history; the later steps of its window
-are lockstep work that is thrown away. Each row's arithmetic is that of a
-run started alone, so a run's result, and its trajectory when the batch
-records, is bitwise the same in a batch of any width and with any window;
-a single run (`bsgd_run`) is a batch of one. A recording solve keeps the
-trajectories of its winner and of run 0, each within a fixed snapshot
-budget, so tracing a run needs no second descent.
+the rows of an (R × N) array, in windows of fused kernel steps (`_descend`),
+and a row leaves the array when its run stops. Each row's arithmetic is that
+of a run started alone, so a run's result, and its trajectory when the batch
+records, is bitwise the same in a batch of any width; a single run
+(`bsgd_run`) is a batch of one. A recording solve keeps the trajectories of
+its winner and of run 0, each within a fixed snapshot budget, so tracing a
+run needs no second descent.
 
 Restarts draw independent start points from per-run seeds derived
 deterministically from the base seed (see derive_run_seed), so a multi-run
@@ -229,8 +222,7 @@ _RECORD_EVERY = 10
 _START_RADIUS = 0.05
 # The fixed-point step bound and the rounding tie band (x_i ≥ 1/2 − tol → 0).
 _STOP_TOL = 1e-12
-# Steps per window of the descent engine: a step does only the update and
-# the kernel, and F, the stop and certificate tests run once per window.
+# Steps per window of the descent engine (`_descend`).
 _WINDOW = 8
 
 
@@ -294,22 +286,23 @@ def _descend(
     after it is dropped (no run past a success is reported), and the rows
     before it run on. Returns one RunResult per row, None for a dropped row.
 
-    Rows step in windows of K = min(_WINDOW, max_iters − k) updates. The
-    windows of one width reuse buffers of (_WINDOW + 1)·R·N iterates,
-    _WINDOW·R·M clause probabilities and _WINDOW·R·N displacements, and a
-    window keeps its K gradients. F, the stop test and the certificate's
-    F < 1 test run once per window over the history (the certificate as a
-    running OR, built only when a row not yet certified has F < 1). The
-    window is then replayed in step order: rows that stop at one step
-    finish in index order, a row takes X, F and ∇F at its own stop step,
-    and a row dropped behind a success is neither finished nor sampled
-    again.
+    Rows step in windows of K = min(_WINDOW, max_iters − k) updates; a
+    step does only the clamped update and `CostFunction._kernel`, which
+    writes each clause's P into the window's history and returns ∇F. At
+    the window's end one call each computes F (pairwise row sums of P), the
+    stop test on |ΔX| and the F < 1 test (the certificate as a running OR,
+    built only when a row not yet certified has F < 1). Stops and samples
+    are then replayed in step order: rows that stop at one step finish in
+    index order, a row takes X, F and ∇F at its own stop step, and a row
+    dropped behind a success is neither finished nor sampled again. The
+    windows of one width reuse (_WINDOW + 1)·R·N iterates, _WINDOW·R·M
+    clause probabilities and _WINDOW·R·N displacements; a window keeps its
+    K gradients.
 
     With `record`, one `_Log` samples the live rows at the start, the
     first five updates and every `_RECORD_EVERY`-th update, at most
-    `_MAX_SNAPSHOTS` samples (a full log thins to a doubled stride). A
-    sample copies its rows out of the window, so the log pins no window
-    buffer. A row that ends Solved and, with `keep_first` (a solve's first
+    `_MAX_SNAPSHOTS` samples (a full log thins to a doubled stride), each
+    a copy. A row that ends Solved and, with `keep_first` (a solve's first
     batch, whose row 0 is traced when no run solves), row 0 take their
     Trajectory from the log as they stop, with their final iterate. The
     log holds at most _MAX_SNAPSHOTS · R · N doubles and is freed when
@@ -321,9 +314,7 @@ def _descend(
 
     # 0-d arrays: a ufunc converts a Python float operand on every call
     eta, lo, hi = np.array(config.eta), np.zeros(()), np.ones(())
-    kernel = f._kernel
-    # the kernel's index arrays and the window buffers for the current
-    # width, made again as rows leave
+    # the kernel's index arrays and the window buffers, made again as rows leave
     index, Xs, Ps, D = _window_buffers(f, len(X))
     F, G = f.cost_and_gradient(X, index)
     certificate = F < 1.0  # the starts themselves are strictly interior
@@ -335,28 +326,24 @@ def _descend(
     # a huge eta overflows eta·∇F to ±inf, a step the clamp maps to a face
     with np.errstate(over="ignore"):
         while len(rows):
-            # a window of K steps, each only the update and the kernel:
             # X^(k+j) lands in Xs[j], P there in Ps[j-1], ∇F there in Gs[j-1]
             K = min(_WINDOW, config.max_iters - k)
             Xs[0] = X
             Gs = []
             for x0, X, p in zip(Xs[:K], Xs[1 : K + 1], Ps):
-                # X = clip(x0 − η·G, 0, 1) in place; maximum and minimum clamp
-                # as np.clip does (the two differ only on -0.0, which no
-                # iterate can hold) at a fraction of its call cost
+                # X = clip(x0 − η·G, 0, 1) as np.clip does (but on -0.0, which
+                # no iterate can hold) at a fraction of its call cost
                 np.multiply(G, eta, out=X)
                 np.subtract(x0, X, out=X)
                 np.maximum(X, lo, out=X)
                 np.minimum(X, hi, out=X)
-                G = kernel(X, index, p)
+                G = f._kernel(X, index, p)
                 Gs.append(G)
-            # the window's reductions, one call each; row sums are pairwise,
-            # as cost_and_gradient's
+            # row sums pairwise, as cost_and_gradient's
             F = np.add.reduce(Ps[:K], axis=2)
             d = np.subtract(Xs[1 : K + 1], Xs[:K], out=D[:K])
             converged = (np.abs(d, out=d) <= _STOP_TOL).all(axis=2)
-            # cert[j]: some interior iterate up to step k + j + 1 had F < 1;
-            # rows already certified need no interior test
+            # cert[j]: some interior iterate up to step k + j + 1 had F < 1
             low = (F < 1.0) & ~certificate
             if low.any():
                 interior = ((Xs[1 : K + 1] > 0.0) & (Xs[1 : K + 1] < 1.0)).all(axis=2)
@@ -364,10 +351,8 @@ def _descend(
             else:
                 cert = [certificate] * K
             certificate = cert[-1]
-            stopped = converged
-            if k + K == config.max_iters:  # the cap stops every row
-                stopped = converged.copy()
-                stopped[-1] = True
+            stopped = converged.copy()
+            stopped[-1] |= k + K == config.max_iters  # the cap stops every row
             if log is None and not stopped.any():
                 k += K
                 continue
@@ -400,11 +385,8 @@ def _descend(
 
 
 def _window_buffers(f, r):
-    """`batch_index(r)` and the buffers every window of r rows reuses:
-    iterates (_WINDOW + 1, r, N), clause probabilities (_WINDOW, r, M) and
-    displacements (_WINDOW, r, N). At N = 1000 buffers made afresh each
-    window cost page faults: the allocator hands blocks that large back to
-    the kernel when they are freed."""
+    """`batch_index(r)` and the window buffers of r rows, made once a width:
+    at N = 1000, buffers made afresh each window cost page faults."""
     n, m = f.n_vars, f.instance.n_clauses
     return f.batch_index(r), np.empty((_WINDOW + 1, r, n)), np.empty((_WINDOW, r, m)), np.empty((_WINDOW, r, n))
 

@@ -808,6 +808,8 @@ def window(request, monkeypatch):
     return request.param
 
 
+# a window of 8 (the default) is what the engine tests above already run
+@pytest.mark.parametrize("window", [1, 3, 64], indirect=True)
 def test_window_leaves_solves_unchanged(window):
     for f, cfg in criterion_08_cells():
         assert_solve_matches_reference(f, cfg, 5)
@@ -854,6 +856,7 @@ def test_window_certificate_ends_at_the_rows_stop(window, monkeypatch):
     assert_same_run(res, reference_run(f, cfg, start))
 
 
+@pytest.mark.parametrize("window", [1, 3, 64], indirect=True)
 def test_window_keeps_the_batch_whose_winner_is_not_row_zero(window):
     # a Solved row drops the live rows after it, mid-window or not
     check_batch_whose_winner_is_not_row_zero()
